@@ -29,7 +29,10 @@ fn run() -> Result<(), matador::Error> {
         "Table I reproduction — sizes {}x{}, tm epochs {}, bnn epochs {}, seed {}, threads {}",
         opts.sizes.train, opts.sizes.test, opts.tm_epochs, opts.bnn_epochs, opts.seed, threads
     );
-    println!("(synthetic datasets; see DESIGN.md §1 for the substitution argument)\n");
+    println!(
+        "(synthetic datasets matched to the real feature widths and class counts; \
+         see the README's reproduction notes)\n"
+    );
 
     let started = Instant::now();
     let groups = run_table1(&DatasetKind::TABLE_I, &opts)?;

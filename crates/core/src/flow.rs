@@ -106,9 +106,8 @@ impl FlowOutcome {
     ///
     /// The builder starts from the design's own defaults (its class-sum
     /// pipelining, one cycle-accurate shard, round-robin dispatch) and
-    /// ends with [`ServeBuilder::build`]. It replaces the deprecated
-    /// `serve`/`serve_turbo`/`serve_with_options`/`serve_heterogeneous`/
-    /// `serve_heterogeneous_with_options` method family.
+    /// ends with [`ServeBuilder::build`]; it is the one way to stand up
+    /// serving from a flow outcome.
     pub fn serving(&self) -> ServeBuilder<'_> {
         ServeBuilder {
             outcome: self,
@@ -130,74 +129,6 @@ impl FlowOutcome {
     pub fn shard_spec(&self) -> ShardSpec {
         ShardSpec::new(self.design.compile_for_sim())
             .pipelined_sum(self.design.config().pipeline_class_sum())
-    }
-
-    /// Replaced by [`FlowOutcome::serving`]:
-    /// `outcome.serving().shards(n).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] when `shards == 0`.
-    #[doc(hidden)]
-    #[deprecated(note = "use `outcome.serving().shards(n).build()`")]
-    pub fn serve(&self, shards: usize) -> Result<ServeSession, crate::Error> {
-        self.serving().shards(shards).build()
-    }
-
-    /// Replaced by [`FlowOutcome::serving`]:
-    /// `outcome.serving().shards(n).backend(EngineBackend::Turbo).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] when `shards == 0`.
-    #[doc(hidden)]
-    #[deprecated(note = "use `outcome.serving().shards(n).backend(EngineBackend::Turbo).build()`")]
-    pub fn serve_turbo(&self, shards: usize) -> Result<ServeSession, crate::Error> {
-        self.serving()
-            .shards(shards)
-            .backend(EngineBackend::Turbo)
-            .build()
-    }
-
-    /// Replaced by [`FlowOutcome::serving`]:
-    /// `outcome.serving().options(options).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] on degenerate options.
-    #[doc(hidden)]
-    #[deprecated(note = "use `outcome.serving().options(options).build()`")]
-    pub fn serve_with_options(&self, options: ServeOptions) -> Result<ServeSession, crate::Error> {
-        self.serving().options(options).build()
-    }
-
-    /// Replaced by [`FlowOutcome::serving`]:
-    /// `outcome.serving().specs(specs).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] on an empty or zero-weight spec
-    /// list.
-    #[doc(hidden)]
-    #[deprecated(note = "use `outcome.serving().specs(specs).build()`")]
-    pub fn serve_heterogeneous(&self, specs: Vec<ShardSpec>) -> Result<ServeSession, crate::Error> {
-        self.serving().specs(specs).build()
-    }
-
-    /// Replaced by [`FlowOutcome::serving`]:
-    /// `outcome.serving().options(options).specs(specs).build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] on degenerate specs or options.
-    #[doc(hidden)]
-    #[deprecated(note = "use `outcome.serving().options(options).specs(specs).build()`")]
-    pub fn serve_heterogeneous_with_options(
-        &self,
-        specs: Vec<ShardSpec>,
-        options: ServeOptions,
-    ) -> Result<ServeSession, crate::Error> {
-        self.serving().options(options).specs(specs).build()
     }
 }
 
@@ -273,13 +204,6 @@ impl ServeBuilder<'_> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = Some(threads);
-        self
-    }
-
-    /// Whether small flushes may consolidate onto one shard.
-    #[must_use]
-    pub fn consolidate(mut self, consolidate: bool) -> Self {
-        self.options.consolidate = consolidate;
         self
     }
 
@@ -681,13 +605,19 @@ mod tests {
 
         let mut cycle = outcome.serving().shards(3).build().expect("valid session");
         // Consolidation would route this small batch to one turbo shard
-        // (a better schedule, but a different one) — disable it so the
-        // comparison covers shard assignment and per-shard stats too.
+        // (a better schedule, but a different one) — chunk threshold 0
+        // spreads every flush, so the comparison covers shard assignment
+        // and per-shard stats too. Explicit options drop the design's
+        // pipelining default, so the turbo pool restates it; the cycle
+        // pool still inherits it through the builder.
         let mut turbo = outcome
             .serving()
-            .shards(3)
-            .backend(EngineBackend::Turbo)
-            .consolidate(false)
+            .options(ServeOptions {
+                backend: EngineBackend::Turbo,
+                chunk_threshold: Some(0),
+                pipelined_sum: true,
+                ..ServeOptions::new(3)
+            })
             .build()
             .expect("valid session");
         let from_cycle = cycle.serve(&batch).expect("drains");
@@ -797,47 +727,6 @@ mod tests {
             assert_eq!(p.class_sums, e.class_sums);
             // The group's lead member carries the attribution.
             assert_eq!(p.shard, 0);
-        }
-    }
-
-    /// The deprecated `serve*` family must keep working (and keep its
-    /// behavior) until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_serve_wrappers_still_work() {
-        let (train, test) = tiny_task();
-        let config = MatadorConfig::builder()
-            .bus_width(4)
-            .build()
-            .expect("valid");
-        let outcome = MatadorFlow::new(config)
-            .run(spec(), &train, &test)
-            .expect("flow succeeds");
-        let batch: Vec<_> = test.iter().map(|s| s.input.clone()).collect();
-        let winners = |mut session: ServeSession| -> Vec<usize> {
-            session
-                .serve(&batch)
-                .expect("drains")
-                .iter()
-                .map(|p| p.winner)
-                .collect()
-        };
-        let expected = winners(outcome.serving().shards(2).build().expect("valid session"));
-        let sessions = vec![
-            outcome.serve(2).expect("valid session"),
-            outcome.serve_turbo(2).expect("valid session"),
-            outcome
-                .serve_with_options(ServeOptions::new(2))
-                .expect("valid session"),
-            outcome
-                .serve_heterogeneous(vec![outcome.shard_spec()])
-                .expect("valid session"),
-            outcome
-                .serve_heterogeneous_with_options(vec![outcome.shard_spec()], ServeOptions::new(1))
-                .expect("valid session"),
-        ];
-        for session in sessions {
-            assert_eq!(winners(session), expected);
         }
     }
 

@@ -4,8 +4,9 @@
 //! (MNIST, KMNIST, FMNIST, CIFAR-2, KWS-6) plus the 2-D Noisy XOR and IRIS
 //! tasks used by the earlier TM-FPGA literature. Each generator matches the
 //! real dataset's booleanized feature width and class count, so packet
-//! counts, HCB structure and resource scaling downstream are faithful; see
-//! `DESIGN.md` §1 for the substitution rationale.
+//! counts, HCB structure and resource scaling downstream are faithful even
+//! where absolute accuracies differ — the repository ships no real data
+//! (see the README's "Reproducing the paper's tables and figures" section).
 //!
 //! ```
 //! use matador_datasets::{generate, DatasetKind, SplitSizes};

@@ -59,8 +59,11 @@ impl std::error::Error for SpecError {}
 /// two small datasets the prior FPGA-TM literature used (\[22\], \[23\]).
 ///
 /// All are *synthetic stand-ins* generated with the real datasets'
-/// dimensions and class counts; see `DESIGN.md` §1 for the substitution
-/// argument.
+/// dimensions and class counts: the repository ships no real data, and
+/// everything downstream of booleanization — packet counts, HCB
+/// structure, latency and resource scaling — depends only on feature
+/// width and class count (see the README's "Reproducing the paper's
+/// tables and figures" section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum DatasetKind {
     /// 784-bit handwritten-digit stand-in, 10 classes (13 × 64-bit packets).

@@ -271,6 +271,7 @@ impl SliceFaults {
     }
 
     /// Whether this directive injects anything at all.
+    #[cfg(test)]
     pub fn is_clean(&self) -> bool {
         self.pre_delay == 0 && self.action == SliceAction::Run && self.hard.is_none()
     }

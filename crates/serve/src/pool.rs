@@ -28,7 +28,7 @@ use crate::fault::{
     SEEDED_HORIZON_REQUESTS,
 };
 use crate::health::{HealthTracker, HealthTransition, ShardHealth};
-use crate::queue::{Request, RequestQueue, DEFAULT_QUEUE_DEPTH};
+use crate::queue::{RequestQueue, DEFAULT_QUEUE_DEPTH};
 use crate::report::{ShardStats, ThroughputReport};
 use crate::spec::ShardSpec;
 use matador_obs::{Counter, Histogram, Registry};
@@ -36,6 +36,7 @@ use matador_sim::{
     CompiledAccelerator, EngineBackend, SimEngine, SimError, SimResult, TurboEngine, TurboProgram,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tsetlin::bits::BitVec;
@@ -66,24 +67,15 @@ pub struct ServeOptions {
     /// Worker threads for shard execution (`None` = the
     /// `MATADOR_THREADS`/available-parallelism default).
     pub threads: Option<usize>,
-    /// Whether a homogeneous all-turbo pool may consolidate a small flush
-    /// onto a single shard. Every turbo shard runs the same immutable
-    /// instruction tape, so when a flush carries less work than one chunk
-    /// threshold per shard (see
-    /// [`matador_sim::configured_chunk_threshold`]), spreading it only
-    /// buys per-shard dispatch overhead — the pool sends the whole flush
-    /// to the least-loaded shard instead. Winners, class sums and
-    /// latencies are unaffected (every shard computes identical results);
-    /// only the shard *assignment* changes. Disable to force the
-    /// configured dispatch policy even for tiny flushes (e.g. when
-    /// comparing shard assignments against a cycle-accurate pool).
-    pub consolidate: bool,
     /// Chunk-fan-out threshold override for turbo shards (tape-work cost
     /// below which a batch stays serial; see
     /// [`matador_sim::TurboProgram::plan_workers`]). `None` reads the
     /// `MATADOR_CHUNK_THRESHOLD` environment default at pool
     /// construction. Purely a performance knob — results are bit-identical
-    /// at any value.
+    /// at any value. It also sets the floor below which a homogeneous
+    /// turbo pool consolidates a small flush onto one shard (clamped to
+    /// the default; `0` spreads every flush): winners, class sums and
+    /// latencies are unaffected, only the shard *assignment* changes.
     pub chunk_threshold: Option<u64>,
     /// Execution engine behind each shard. [`EngineBackend::Turbo`]
     /// produces bit-identical predictions, class sums and cycle stamps
@@ -114,7 +106,6 @@ impl ServeOptions {
             pipelined_sum: false,
             capture_class_sums: false,
             threads: None,
-            consolidate: true,
             chunk_threshold: None,
             backend: EngineBackend::CycleAccurate,
             fault_seed: None,
@@ -387,9 +378,6 @@ pub struct ShardPool<'a> {
     shared_chunk_cost: Option<u64>,
     /// Chunk-parallelism cost threshold, resolved once at construction.
     chunk_threshold: u64,
-    /// Whether small flushes may consolidate onto one shard
-    /// ([`ServeOptions::consolidate`]).
-    consolidate: bool,
     /// Pool-level metric handles (resolved once at construction).
     metrics: PoolMetrics,
     /// Per-shard metric handles, shard-index order.
@@ -404,12 +392,10 @@ pub struct ShardPool<'a> {
     /// units; a partition group's members share one unit (members in
     /// shard order, units ordered by lead = lowest member index). The
     /// dispatcher plans over units, so a partitioned design is one
-    /// logical executor however many shards its slices occupy.
+    /// logical executor however many shards its slices occupy, and the
+    /// flush loop ([`ShardPool::run_flush`]) merges its members' partial
+    /// class sums into each final winner.
     units: Vec<Vec<usize>>,
-    /// Whether any shard belongs to a partition group — routes every
-    /// flush through [`ShardPool::flush_partitioned`], which merges the
-    /// members' partial class sums into each final winner.
-    grouped: bool,
     /// Runtime state of the installed [`FaultPlan`] (disarmed and free
     /// on pools without one).
     faults: FaultState,
@@ -573,65 +559,134 @@ impl FaultyEngine<'_, '_, '_> {
 }
 
 /// One shard's slice of a flush, mutated on a worker thread.
-struct ShardRun<'e, 'a> {
-    engine: &'e mut PoolEngine<'a>,
+struct ShardRun<'w> {
     beats_per_request: u64,
-    inputs: Vec<BitVec>,
+    /// The slice's inputs: the caller's borrowed window when the unit
+    /// takes all of it, else moved (or, for non-lead partition members,
+    /// copied) out of the flush's [`FlushInputs`].
+    inputs: Cow<'w, [BitVec]>,
     /// Fault directives for this slice, planned on the pool thread
     /// before workers spawn (clean outside resilient mode).
     directives: SliceFaults,
     /// `None` until the slice runs — and still `None` afterwards iff the
     /// worker panicked (injected or genuine), which is how the resilient
-    /// reassembly detects a lost slice. Empty slices never run.
+    /// triage detects a lost slice. Empty slices never run.
     outcome: Option<Result<ShardOutput, SliceError>>,
 }
 
-impl ShardRun<'_, '_> {
-    /// Executes a non-empty slice under its fault directives. May panic
-    /// (an injected [`SliceAction::Panic`], or a genuine engine bug);
-    /// resilient callers contain that with `catch_unwind` /
+impl ShardRun<'_> {
+    /// Executes a non-empty slice on `engine` under its fault directives.
+    /// May panic (an injected [`SliceAction::Panic`], or a genuine engine
+    /// bug); resilient callers contain that with `catch_unwind` /
     /// [`matador_par::try_par_map_mut_with`].
-    fn execute(&mut self) {
+    fn execute(&mut self, engine: &mut PoolEngine<'_>) {
         let mut faulty = FaultyEngine {
-            engine: self.engine,
+            engine,
             directives: &self.directives,
         };
         self.outcome = Some(faulty.run(&self.inputs, self.beats_per_request));
     }
 }
 
-/// Pairs every engine with its slice of a flush: the assigned inputs
-/// move in (each request is assigned exactly once, so no clone on the
-/// serving hot path), the fault directives ride along, and the outcome
-/// slot starts unset. Borrows only the engines — the pool's other
-/// fields stay readable while the runs are alive.
-fn build_runs<'e, 'a>(
-    engines: &'e mut [PoolEngine<'a>],
-    profiles: &[ShardProfile],
-    work: &[Vec<usize>],
-    request_inputs: &mut [Option<BitVec>],
-    directives: Vec<SliceFaults>,
-) -> Vec<ShardRun<'e, 'a>> {
-    engines
-        .iter_mut()
-        .zip(profiles)
-        .zip(work)
-        .zip(directives)
-        .map(|(((engine, profile), indices), directives)| ShardRun {
-            engine,
-            beats_per_request: profile.beats_per_request,
-            inputs: indices
+/// A flush's inputs, by request index. A `serve` window stays borrowed
+/// from the caller; a drained queue is owned. Inputs move out to their
+/// runs and a failed run hands them back, so a window input is copied
+/// at most once however often it is redirected (partition members
+/// beside the lead still get their own copy of an owned slice).
+struct FlushInputs<'w> {
+    /// The caller's window (`serve`), empty for a drained queue.
+    window: &'w [BitVec],
+    /// Owned inputs currently at home: the whole drained queue, or the
+    /// window copies a failed run handed back (empty until then).
+    stash: Vec<Option<BitVec>>,
+}
+
+impl<'w> FlushInputs<'w> {
+    fn len(&self) -> usize {
+        self.window.len().max(self.stash.len())
+    }
+
+    /// Feature width of request `ri` (pending requests are always home).
+    fn width(&self, ri: usize) -> usize {
+        match self.stash.get(ri) {
+            Some(Some(input)) => input.len(),
+            _ => self.window[ri].len(),
+        }
+    }
+
+    /// The inputs of requests `indices` (ascending) as one slice: the
+    /// borrowed window itself when they are all of it, else owned.
+    fn slice(&mut self, indices: &[usize]) -> Cow<'w, [BitVec]> {
+        if indices.len() == self.window.len() {
+            return Cow::Borrowed(self.window);
+        }
+        Cow::Owned(
+            indices
                 .iter()
-                .map(|&ri| {
-                    request_inputs[ri]
-                        .take()
-                        .expect("every request is assigned to exactly one shard")
+                .map(|&ri| match self.stash.get_mut(ri).and_then(Option::take) {
+                    Some(input) => input,
+                    None => self.window[ri].clone(),
                 })
                 .collect(),
-            directives,
-            outcome: None,
-        })
-        .collect()
+        )
+    }
+
+    /// Takes a failed slice's owned inputs back for redirection.
+    fn give_back(&mut self, indices: &[usize], slice: Cow<'_, [BitVec]>) {
+        if let Cow::Owned(owned) = slice {
+            if self.stash.is_empty() {
+                self.stash.resize(self.window.len(), None);
+            }
+            for (input, &ri) in owned.into_iter().zip(indices) {
+                self.stash[ri] = Some(input);
+            }
+        }
+    }
+}
+
+/// Writes one served unit's predictions (requests `indices`, ids from
+/// `first_id`) into `slots`. A unit of one passes its shard's answer
+/// straight through; a partition group's members' class sums add up to
+/// the final sums, whose argmax is the winner, and its stamps are the
+/// slowest member's. The `lead` member takes the attribution.
+fn reassemble(
+    slots: &mut [Option<Prediction>],
+    first_id: u64,
+    indices: &[usize],
+    lead: usize,
+    outputs: &[&ShardOutput],
+    capture_sums: bool,
+) {
+    for (j, &ri) in indices.iter().enumerate() {
+        let (winner, class_sums) = match outputs {
+            [output] => (
+                output.results[j].winner,
+                capture_sums.then(|| output.class_sums[j].clone()),
+            ),
+            _ => {
+                let mut merged = outputs[0].class_sums[j].clone();
+                for output in &outputs[1..] {
+                    for (acc, &s) in merged.iter_mut().zip(&output.class_sums[j]) {
+                        *acc += s;
+                    }
+                }
+                (tsetlin::tm::argmax(&merged), capture_sums.then_some(merged))
+            }
+        };
+        let latency = outputs
+            .iter()
+            .map(|o| o.results[j].cycle - o.first_beats[j] + 1)
+            .max();
+        let completed = outputs.iter().map(|o| o.results[j].cycle).max();
+        slots[ri] = Some(Prediction {
+            request: first_id + ri as u64,
+            winner,
+            shard: lead,
+            latency_cycles: latency.expect("units are non-empty"),
+            completed_at_cycle: completed.expect("units are non-empty"),
+            class_sums,
+        });
+    }
 }
 
 impl<'a> ShardPool<'a> {
@@ -696,13 +751,11 @@ impl<'a> ShardPool<'a> {
             latencies: Vec::new(),
             shared_chunk_cost,
             chunk_threshold,
-            consolidate: options.consolidate,
             metrics: PoolMetrics::resolve(options.policy),
             shard_metrics: (0..options.shards).map(ShardMetrics::resolve).collect(),
             shard_queued_beats: vec![0; options.shards],
             shard_flushes: vec![0; options.shards],
             units: (0..options.shards).map(|s| vec![s]).collect(),
-            grouped: false,
             faults: FaultState::new(&FaultPlan::none(), options.shards),
             health: HealthTracker::new(options.shards),
             resilient: false,
@@ -832,13 +885,11 @@ impl<'a> ShardPool<'a> {
             latencies: Vec::new(),
             shared_chunk_cost: None,
             chunk_threshold,
-            consolidate: options.consolidate,
             metrics: PoolMetrics::resolve(options.policy),
             shard_metrics: (0..specs.len()).map(ShardMetrics::resolve).collect(),
             shard_queued_beats: vec![0; specs.len()],
             shard_flushes: vec![0; specs.len()],
             units: Self::units_from_specs(specs),
-            grouped: specs.iter().any(|s| s.partition_group.is_some()),
             faults: FaultState::new(&FaultPlan::none(), specs.len()),
             health: HealthTracker::new(specs.len()),
             resilient: false,
@@ -914,14 +965,19 @@ impl<'a> ShardPool<'a> {
         &self.units
     }
 
-    /// Units whose members are all currently eligible for traffic — the
-    /// unit-level sibling of [`ShardPool::healthy_shards`]: a partition
-    /// group with even one quarantined member cannot serve (its partial
-    /// sums would be incomplete), so it counts as ineligible whole.
+    /// Whether every member of a unit is eligible for traffic: a
+    /// partition group with even one quarantined member cannot serve
+    /// (its partial sums would be incomplete), so it is ineligible whole.
+    fn unit_eligible(&self, members: &[usize]) -> bool {
+        members.iter().all(|&m| self.health.eligible(m))
+    }
+
+    /// Units currently eligible for traffic — the unit-level sibling of
+    /// [`ShardPool::healthy_shards`].
     fn eligible_units(&self) -> usize {
         self.units
             .iter()
-            .filter(|members| members.iter().all(|&m| self.health.eligible(m)))
+            .filter(|members| self.unit_eligible(members))
             .count()
     }
 
@@ -985,27 +1041,30 @@ impl<'a> ShardPool<'a> {
 
     /// Books one shard's slice of a completed flush: lifetime tracking
     /// for [`ShardPool::shard_stats`] plus the per-shard registry
-    /// metrics. `ii_before` is the shard's (gap-cycles, gap-samples)
-    /// snapshot from before the slice ran; the delta is this flush's
-    /// observed-II contribution.
+    /// metrics. `before` is the shard's planner profile from before the
+    /// slice ran; the observed-II delta since then is this flush's
+    /// contribution, returned as the slice's mean result-to-result gap
+    /// (`None` when the slice had no gap).
     fn note_shard_work(
         &mut self,
         shard: usize,
         requests: usize,
-        beats_per_request: u64,
-        ii_before: (u64, u64),
-    ) {
-        let beats = beats_per_request * requests as u64;
+        before: ShardProfile,
+    ) -> Option<u64> {
+        let beats = before.beats_per_request * requests as u64;
         self.shard_queued_beats[shard] += beats;
         self.shard_flushes[shard] += 1;
         let m = &self.shard_metrics[shard];
         m.requests.add(requests as u64);
         m.queued_beats.add(beats);
         let load = self.engines[shard].load();
-        let (cycles, samples) = (load.ii_cycles - ii_before.0, load.ii_samples - ii_before.1);
-        if samples > 0 {
-            m.ii_cycles.record(cycles.div_ceil(samples));
+        let cycles = load.ii_cycles - before.load.ii_cycles;
+        let samples = load.ii_samples - before.load.ii_samples;
+        let ii = (samples > 0).then(|| cycles.div_ceil(samples));
+        if let Some(ii) = ii {
+            m.ii_cycles.record(ii);
         }
+        ii
     }
 
     /// Each shard's cumulative engine cycle count, shard-index order —
@@ -1076,25 +1135,21 @@ impl<'a> ShardPool<'a> {
         }
     }
 
-    /// Shards a flush of `pending` requests would actually execute on:
-    /// 1 when the pool's flush-consolidation heuristic would run the
-    /// whole flush on a single shard, the count of *healthy* shards
-    /// otherwise (never 0 — with everything quarantined the estimate
-    /// degrades to serial capacity rather than dividing by zero). The
-    /// front-end's drain model divides by this, not the raw shard
+    /// Units a flush of `pending` requests would actually execute on: 1
+    /// when the flush would run whole on a single unit, the count of
+    /// *healthy* units otherwise (never 0 — with everything quarantined
+    /// the estimate degrades to serial capacity rather than dividing by
+    /// zero). A partition group drains as one executor — its members run
+    /// the same slice concurrently — so units count, not member shards.
+    /// The front-end's drain model divides by this, not the raw shard
     /// count — a consolidated flush drains serially, a browned-out pool
     /// drains on what survives, and pretending otherwise would fire
     /// deadline-pressure flushes far too late.
     pub fn flush_spread(&self, pending: usize) -> usize {
         if pending > 0 && self.single_executor(pending).is_some() {
             1
-        } else if self.grouped {
-            // A partition group drains as one executor: its members run
-            // the same slice concurrently, so the spread is the count of
-            // fully-eligible *units*, not of member shards.
-            self.eligible_units().max(1)
         } else {
-            self.health.eligible_shards().max(1)
+            self.eligible_units().max(1)
         }
     }
 
@@ -1134,60 +1189,42 @@ impl<'a> ShardPool<'a> {
         }
     }
 
-    /// Checks that at least one shard serving `width` is currently
-    /// eligible for traffic (not quarantined). Trivially `Ok` on a
-    /// classic (non-resilient) pool and whenever every shard is healthy
-    /// — the check costs two loads on the fault-free path.
+    /// Checks that at least one unit serving `width` is currently
+    /// eligible for traffic — every member of it out of quarantine (a
+    /// lone quarantined member makes its whole group's partial sums
+    /// unmergeable). Trivially `Ok` on a classic (non-resilient) pool
+    /// and whenever every shard is healthy — the check costs two loads
+    /// on the fault-free path.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ShardQuarantined`] when exactly one shard
-    /// serves the width (the precise single-shard diagnostic) and
+    /// Returns [`ServeError::ShardQuarantined`] (naming the unit's first
+    /// quarantined member) when exactly one unit serves the width — the
+    /// precise single-shard diagnostic — and
     /// [`ServeError::NoHealthyShard`] when several do but every one of
-    /// them is quarantined. A width no shard serves at all also reports
+    /// them is blocked. A width no unit serves at all also reports
     /// [`ServeError::NoHealthyShard`] — call [`ShardPool::check_width`]
     /// first for the admission-grade diagnostics.
     pub fn check_healthy(&self, width: usize) -> Result<(), ServeError> {
         if !self.resilient || self.health.all_healthy() {
             return Ok(());
         }
-        if self.grouped {
-            // Unit granularity: a partition group serves only when
-            // *every* member is eligible — a lone quarantined member
-            // makes its whole group's partial sums unmergeable.
-            let mut compatible = 0usize;
-            let mut blocked = 0usize;
-            for members in &self.units {
-                if self.designs[members[0]].shape().features != width {
-                    continue;
-                }
-                match members.iter().find(|&&m| !self.health.eligible(m)) {
-                    None => return Ok(()),
-                    Some(&m) => {
-                        compatible += 1;
-                        blocked = m;
-                    }
-                }
-            }
-            return if compatible == 1 {
-                Err(ServeError::ShardQuarantined { shard: blocked })
-            } else {
-                Err(ServeError::NoHealthyShard { width })
-            };
-        }
         let mut compatible = 0usize;
-        let mut last = 0usize;
-        for (shard, design) in self.designs.iter().enumerate() {
-            if design.shape().features == width {
-                if self.health.eligible(shard) {
-                    return Ok(());
+        let mut blocked = 0usize;
+        for members in &self.units {
+            if self.designs[members[0]].shape().features != width {
+                continue;
+            }
+            match members.iter().find(|&&m| !self.health.eligible(m)) {
+                None => return Ok(()),
+                Some(&m) => {
+                    compatible += 1;
+                    blocked = m;
                 }
-                compatible += 1;
-                last = shard;
             }
         }
         if compatible == 1 {
-            Err(ServeError::ShardQuarantined { shard: last })
+            Err(ServeError::ShardQuarantined { shard: blocked })
         } else {
             Err(ServeError::NoHealthyShard { width })
         }
@@ -1256,127 +1293,37 @@ impl<'a> ShardPool<'a> {
         self.queue.push(input.clone())
     }
 
-    /// Dispatches every pending request over the shard pool (requests go
-    /// only to shards whose design accepts their width), runs the shard
-    /// engines (in parallel on up to `MATADOR_THREADS` workers) and
-    /// returns predictions in submission order.
+    /// Dispatches every pending request over the pool's execution units
+    /// (requests go only to units whose design accepts their width, or
+    /// all to one shard when a homogeneous turbo pool consolidates a
+    /// small flush), runs them and returns predictions in submission
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Shard`] if a shard's engine fails to drain;
-    /// the lowest failing shard index is reported. A hang is a toolflow
-    /// bug, not a recoverable condition: the failed flush's requests are
-    /// dropped (including any classified by surviving shards), no latency
-    /// samples are recorded for it, and surviving shards' cumulative
-    /// engine/monitor counters remain visible in [`ShardPool::report`].
+    /// A classic pool returns [`ServeError::Shard`] if a shard's engine
+    /// fails to drain; the lowest failing shard index is reported. A hang
+    /// is a toolflow bug, not a recoverable condition: the failed flush's
+    /// requests are dropped (including any classified by surviving
+    /// shards), no latency samples are recorded for it, and surviving
+    /// shards' cumulative engine/monitor counters remain visible in
+    /// [`ShardPool::report`]. A resilient pool redirects failed slices
+    /// instead, and fails with [`ServeError::ShardQuarantined`] /
+    /// [`ServeError::NoHealthyShard`] only once no healthy unit is left
+    /// for some pending request.
     pub fn flush(&mut self) -> Result<Vec<Prediction>, ServeError> {
         let requests = self.queue.drain();
-        if requests.is_empty() {
+        let Some(first_id) = requests.first().map(|r| r.id) else {
             return Ok(Vec::new());
-        }
-        // Partition groups first: their flushes plan over units and
-        // merge member class sums, which none of the paths below do.
-        if self.grouped {
-            if self.resilient {
-                self.health.begin_flush();
-            }
-            return self.flush_partitioned(requests);
-        }
-        if self.resilient {
-            // Advance quarantine cooldowns (Quarantined → Probing)
-            // before anything is planned, so half-open probes ride
-            // ordinary traffic this flush.
-            self.health.begin_flush();
-            if let Some(shard) = self.single_executor(requests.len()) {
-                return self.flush_to_shard_resilient(shard, requests);
-            }
-            return self.flush_resilient(requests);
-        }
-        // Single-executor fast path: a one-shard pool, or a small flush
-        // on a homogeneous turbo pool (consolidation — every shard runs
-        // the same tape, so assignment is result-invisible and spreading
-        // work that is below one chunk threshold per shard only buys
-        // dispatch overhead). Skips planning and reassembly entirely.
-        if let Some(shard) = self.single_executor(requests.len()) {
-            return self.flush_to_shard(shard, requests);
-        }
-        self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let profiles = self.shard_profiles();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        let assignment = self.dispatcher.plan_profiles(&profiles, &request_widths);
-
-        // Per-shard work lists; order within a shard = submission order.
-        let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-        for (ri, &s) in assignment.iter().enumerate() {
-            work[s].push(ri);
-        }
-
-        // Move the drained inputs into their shard's work list (each
-        // request is assigned exactly once, so no clone is needed on the
-        // serving hot path); ids stay behind for result reassembly.
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let mut request_inputs: Vec<Option<BitVec>> =
-            requests.into_iter().map(|r| Some(r.input)).collect();
-        let directives: Vec<SliceFaults> = vec![SliceFaults::clean(); self.engines.len()];
-        let serial = self.shared_chunk_cost.is_some();
-        let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-        let mut runs = build_runs(
-            &mut self.engines,
-            &profiles,
-            &work,
-            &mut request_inputs,
-            directives,
-        );
-        Self::execute_runs(serial, threads, self.resilient, &mut runs);
-
-        // Reassemble into submission order, surfacing the lowest failing
-        // shard as a typed error.
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        for (shard, run) in runs.into_iter().enumerate() {
-            let Some(outcome) = run.outcome else {
-                debug_assert!(work[shard].is_empty());
-                continue;
-            };
-            let output = match outcome {
-                Ok(output) => output,
-                Err(SliceError::Engine(error)) => return Err(ServeError::Shard { shard, error }),
-                Err(SliceError::Corrupted) => {
-                    unreachable!("corruption faults require a fault plan (resilient mode)")
-                }
-            };
-            debug_assert_eq!(output.results.len(), work[shard].len());
-            for (j, &ri) in work[shard].iter().enumerate() {
-                let latency = output.results[j].cycle - output.first_beats[j] + 1;
-                slots[ri] = Some(Prediction {
-                    request: request_ids[ri],
-                    winner: output.results[j].winner,
-                    shard,
-                    latency_cycles: latency,
-                    completed_at_cycle: output.results[j].cycle,
-                    class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                });
-            }
-        }
-        let predictions: Vec<Prediction> = slots
-            .into_iter()
-            .map(|p| p.expect("every request was assigned to exactly one shard"))
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        for (shard, indices) in work.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let profile = profiles[shard];
-            self.note_shard_work(
-                shard,
-                indices.len(),
-                profile.beats_per_request,
-                (profile.load.ii_cycles, profile.load.ii_samples),
-            );
-        }
-        Ok(predictions)
+        };
+        // Queued ids are contiguous: `serve` block-admits only into an
+        // empty queue, so between two drains every id comes from a push.
+        debug_assert!(requests.iter().zip(first_id..).all(|(r, id)| r.id == id));
+        let inputs = FlushInputs {
+            window: &[],
+            stash: requests.into_iter().map(|r| Some(r.input)).collect(),
+        };
+        self.run_flush(first_id, inputs)
     }
 
     /// Profile snapshots for the width-aware planner: cumulative cycles
@@ -1398,7 +1345,25 @@ impl<'a> ShardPool<'a> {
             .collect()
     }
 
-    /// Executes a flush's shard runs.
+    /// Unit profiles for the planner: the lead member stands in for the
+    /// unit (a group's members share one width and beat cost by
+    /// construction, and their clocks advance in lockstep); the unit's
+    /// weight is its most conservative member's.
+    fn unit_profiles(&self, profiles: &[ShardProfile]) -> Vec<ShardProfile> {
+        self.units
+            .iter()
+            .map(|members| ShardProfile {
+                weight: members
+                    .iter()
+                    .map(|&m| profiles[m].weight)
+                    .min()
+                    .expect("units are non-empty"),
+                ..profiles[members[0]]
+            })
+            .collect()
+    }
+
+    /// Executes a flush's shard runs (empty slices never run).
     ///
     /// All-turbo pools run their shards serially on the caller: each
     /// shard's engine fans its own slice out across the full worker
@@ -1413,188 +1378,259 @@ impl<'a> ShardPool<'a> {
     /// [`matador_par::try_par_map_mut_with`] — and show up as slices
     /// whose outcome was never set. A classic pool propagates panics
     /// unchanged.
-    fn execute_runs(serial: bool, threads: usize, resilient: bool, runs: &mut [ShardRun<'_, 'a>]) {
+    fn execute_runs(
+        serial: bool,
+        threads: usize,
+        resilient: bool,
+        engines: &mut [PoolEngine<'a>],
+        runs: &mut [ShardRun<'_>],
+    ) {
+        let mut jobs: Vec<(&mut PoolEngine<'a>, &mut ShardRun<'_>)> = engines
+            .iter_mut()
+            .zip(runs.iter_mut())
+            .filter(|(_, run)| !run.inputs.is_empty())
+            .collect();
         if serial {
-            for run in runs {
-                if run.inputs.is_empty() {
-                    continue;
-                }
+            for (engine, run) in &mut jobs {
                 if resilient {
-                    let _ = catch_unwind(AssertUnwindSafe(|| run.execute()));
+                    let _ = catch_unwind(AssertUnwindSafe(|| run.execute(engine)));
                 } else {
-                    run.execute();
+                    run.execute(engine);
                 }
             }
         } else if resilient {
             // The panic (if any) is already recorded as the slice's
             // unset outcome; which one surfaced first is irrelevant.
-            let _ = matador_par::try_par_map_mut_with(threads, runs, |_, run| {
-                if !run.inputs.is_empty() {
-                    run.execute();
-                }
+            let _ = matador_par::try_par_map_mut_with(threads, &mut jobs, |_, (engine, run)| {
+                run.execute(engine);
             });
         } else {
-            matador_par::par_map_mut_with(threads, runs, |_, run| {
-                if !run.inputs.is_empty() {
-                    run.execute();
-                }
+            matador_par::par_map_mut_with(threads, &mut jobs, |_, (engine, run)| {
+                run.execute(engine);
             });
         }
     }
 
-    /// The resilient spread flush: plan over eligible shards, execute
-    /// with fault injection and panic containment, then re-dispatch the
-    /// slices lost to hard faults onto surviving compatible shards until
-    /// everything is served — or no healthy capacity remains.
+    /// The one flush loop behind [`ShardPool::flush`] and
+    /// [`ShardPool::serve`], over request ids `first_id..` in input
+    /// order. Every executor is a *unit* of member shards
+    /// ([`ShardPool::units`]; a standalone shard is a unit of one), and
+    /// a classic pool is one whose fault plan never fires. Each round:
+    ///
+    /// 1. **Plan.** [`ShardPool::single_executor`] may hand the whole
+    ///    round to one unit (consolidation); otherwise the dispatcher
+    ///    spreads it over the eligible units' profiles.
+    /// 2. **Execute.** Every member runs its unit's slice under its fault
+    ///    directives. A unit taking a whole borrowed window runs straight
+    ///    off the caller's slice; otherwise inputs move into the slice.
+    /// 3. **Triage.** A unit serves only when all its members came back
+    ///    clean. Partition parts are disjoint clause ranges cut at even
+    ///    boundaries ([`matador_sim::CompilePipeline::partition`]), so
+    ///    the members' class sums add up to the monolithic sums: the
+    ///    winner is their argmax, latency and completion stamps are the
+    ///    slowest member's, and the lead member takes the attribution. A
+    ///    unit of one passes its shard's answer straight through.
+    /// 4. **Health** (resilient pools only), one rule for every unit, in
+    ///    shard order: soft faults degrade; each clean member of a served
+    ///    unit is checked for an observed-II outlier, else counts toward
+    ///    recovery; hard faults quarantine.
+    /// 5. **Redirect or fail.** A lost slice contributes nothing — a
+    ///    panicked worker produced no results and a corrupted or partial
+    ///    slice is discarded whole — and its requests go back to pending
+    ///    for the next round. A classic pool fails fast instead, with
+    ///    [`ServeError::Shard`] for the lowest failing shard.
     ///
     /// Termination: every round that loses a slice quarantines at least
-    /// one previously-eligible shard (hard faults open its breaker, and
-    /// breakers cannot half-open again mid-flush — cooldowns only
-    /// advance in [`HealthTracker::begin_flush`]), so after at most
-    /// `shards` rounds the flush either completes or fails typed.
-    ///
-    /// Correctness under chaos: a lost slice contributes *nothing* — a
-    /// panicked worker never produced results and a corrupted slice is
-    /// discarded whole — so every served reply was computed cleanly by
-    /// some healthy shard, which is what keeps winners and class sums
-    /// bit-identical to the fault-free run.
-    fn flush_resilient(&mut self, requests: Vec<Request>) -> Result<Vec<Prediction>, ServeError> {
+    /// one previously-eligible member (breakers cannot half-open
+    /// mid-flush — cooldowns only advance in
+    /// [`HealthTracker::begin_flush`]), so after at most `shards` rounds
+    /// the flush completes or the health check fails it typed. Every
+    /// served reply was computed cleanly by a healthy unit, which keeps
+    /// winners and class sums bit-identical to the fault-free run.
+    fn run_flush(
+        &mut self,
+        first_id: u64,
+        mut inputs: FlushInputs<'_>,
+    ) -> Result<Vec<Prediction>, ServeError> {
+        let n = inputs.len();
         self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        let mut request_inputs: Vec<Option<BitVec>> =
-            requests.into_iter().map(|r| Some(r.input)).collect();
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        let mut pending: Vec<usize> = (0..request_ids.len()).collect();
+        if self.resilient {
+            // Advance quarantine cooldowns (Quarantined → Probing) before
+            // anything is planned, so half-open probes ride ordinary
+            // traffic this flush.
+            self.health.begin_flush();
+        }
+        let mut slots: Vec<Option<Prediction>> = Vec::new();
+        let mut pending: Vec<usize> = (0..n).collect();
         let mut round = 0u64;
         while !pending.is_empty() {
             // No healthy capacity for some pending width ⇒ the flush
             // fails typed (its requests are dropped, exactly like the
-            // classic [`ServeError::Shard`] contract).
+            // classic `ServeError::Shard` contract). Free on a classic
+            // pool.
             for &ri in &pending {
-                self.check_healthy(request_widths[ri])?;
+                self.check_healthy(inputs.width(ri))?;
             }
             if round > 0 {
                 self.metrics.retries.inc();
                 self.metrics.redirects.add(pending.len() as u64);
             }
-            round += 1;
+
+            // 1. Plan: per-unit work lists, submission order within each.
             let profiles = self.shard_profiles();
-            let eligible: Vec<bool> = (0..self.engines.len())
-                .map(|s| self.health.eligible(s))
-                .collect();
-            let widths: Vec<usize> = pending.iter().map(|&ri| request_widths[ri]).collect();
-            let assignment = self.dispatcher.plan_eligible(&profiles, &widths, &eligible);
-            let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-            for (k, &s) in assignment.iter().enumerate() {
-                work[s].push(pending[k]);
+            let mut unit_work: Vec<Vec<usize>> = vec![Vec::new(); self.units.len()];
+            if let Some(unit) = self.single_executor(pending.len()) {
+                // The dispatcher's round-robin cursors are left untouched,
+                // which keeps the assignment deterministic for any flush
+                // sequence.
+                if round == 0 && self.units.len() > 1 {
+                    self.metrics.consolidated.inc();
+                }
+                unit_work[unit] = std::mem::take(&mut pending);
+            } else {
+                if round == 0 {
+                    self.metrics.dispatched.add(pending.len() as u64);
+                }
+                let unit_profiles = self.unit_profiles(&profiles);
+                let eligible: Vec<bool> = self
+                    .units
+                    .iter()
+                    .map(|members| self.unit_eligible(members))
+                    .collect();
+                let widths: Vec<usize> = pending.iter().map(|&ri| inputs.width(ri)).collect();
+                let plan = self
+                    .dispatcher
+                    .plan_eligible(&unit_profiles, &widths, &eligible);
+                for (ri, unit) in pending.drain(..).zip(plan) {
+                    unit_work[unit].push(ri);
+                }
+            }
+            round += 1;
+
+            // 2. Execute. Every member needs its unit's slice: a borrowed
+            // window is shared as is, an owned slice is copied for every
+            // member but the lead.
+            let mut slices: Vec<Cow<'_, [BitVec]>> = vec![Cow::Borrowed(&[]); self.engines.len()];
+            for (members, indices) in self.units.iter().zip(&unit_work) {
+                if indices.is_empty() {
+                    continue;
+                }
+                let slice = inputs.slice(indices);
+                for &m in &members[1..] {
+                    slices[m] = slice.clone();
+                }
+                slices[members[0]] = slice;
             }
             // Fault directives are planned up front on the pool thread —
             // the injector's state is single-threaded, workers only read
             // their own directive.
-            let directives: Vec<SliceFaults> = (0..self.engines.len())
-                .map(|s| {
-                    if self.faults.armed() && !work[s].is_empty() {
-                        self.faults.plan_slice(s, work[s].len())
+            let mut runs: Vec<ShardRun<'_>> = slices
+                .into_iter()
+                .zip(&profiles)
+                .enumerate()
+                .map(|(shard, (inputs, profile))| {
+                    let directives = if self.faults.armed() && !inputs.is_empty() {
+                        self.faults.plan_slice(shard, inputs.len())
                     } else {
                         SliceFaults::clean()
+                    };
+                    for &label in directives.soft.iter().chain(&directives.hard) {
+                        count_fault_injected(label);
+                    }
+                    ShardRun {
+                        beats_per_request: profile.beats_per_request,
+                        inputs,
+                        directives,
+                        outcome: None,
                     }
                 })
                 .collect();
-            for d in &directives {
-                for &label in &d.soft {
-                    count_fault_injected(label);
-                }
-                if let Some(label) = d.hard {
-                    count_fault_injected(label);
-                }
-            }
             let modeled_ii = self.modeled_ii_cycles();
             let serial = self.shared_chunk_cost.is_some();
             let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-            let mut runs = build_runs(
+            Self::execute_runs(
+                serial,
+                threads,
+                self.resilient,
                 &mut self.engines,
-                &profiles,
-                &work,
-                &mut request_inputs,
-                directives,
+                &mut runs,
             );
-            Self::execute_runs(serial, threads, true, &mut runs);
 
-            // Triage outcomes. Successful slices fill their slots; lost
-            // slices give their inputs back and queue for redirection.
-            let mut next_pending: Vec<usize> = Vec::new();
-            let mut soft_faults: Vec<(usize, &'static str)> = Vec::new();
+            // 3. Triage, unit by unit. Reply slots are allocated only now,
+            // so they never overlap the engines' own working memory.
+            if slots.is_empty() {
+                slots.resize(n, None);
+            }
+            if !self.resilient {
+                let failure = runs
+                    .iter()
+                    .enumerate()
+                    .find_map(|(shard, run)| match &run.outcome {
+                        Some(Err(SliceError::Engine(error))) => Some((shard, *error)),
+                        _ => None,
+                    });
+                if let Some((shard, error)) = failure {
+                    return Err(ServeError::Shard { shard, error });
+                }
+            }
+            let mut served_shards: Vec<usize> = Vec::new();
             let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
-            let mut served: Vec<usize> = Vec::new();
-            for (shard, run) in runs.into_iter().enumerate() {
-                let indices = &work[shard];
+            for (members, indices) in self.units.iter().zip(&unit_work) {
                 if indices.is_empty() {
                     continue;
                 }
-                for &label in &run.directives.soft {
-                    soft_faults.push((shard, label));
+                let failed_before = hard_faults.len();
+                for &m in members {
+                    let cause = match &runs[m].outcome {
+                        Some(Ok(_)) => continue,
+                        Some(Err(SliceError::Engine(_))) => "engine_error",
+                        Some(Err(SliceError::Corrupted)) => "corrupt_sum",
+                        // An unset outcome after execution means the
+                        // worker panicked — injected (the directive names
+                        // it) or genuine.
+                        None => runs[m].directives.hard.unwrap_or("panic"),
+                    };
+                    hard_faults.push((m, cause));
                 }
-                let failure = match run.outcome {
-                    Some(Ok(output)) => {
-                        debug_assert_eq!(output.results.len(), indices.len());
-                        for (j, &ri) in indices.iter().enumerate() {
-                            slots[ri] = Some(Prediction {
-                                request: request_ids[ri],
-                                winner: output.results[j].winner,
-                                shard,
-                                latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                                completed_at_cycle: output.results[j].cycle,
-                                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                            });
-                        }
-                        served.push(shard);
-                        None
-                    }
-                    Some(Err(SliceError::Engine(_))) => Some("engine_error"),
-                    Some(Err(SliceError::Corrupted)) => Some("corrupt_sum"),
-                    // An unset outcome after execution means the worker
-                    // panicked — injected (the directive names it) or
-                    // genuine.
-                    None => Some(run.directives.hard.unwrap_or("panic")),
-                };
-                if let Some(cause) = failure {
-                    hard_faults.push((shard, cause));
-                    for (input, &ri) in run.inputs.into_iter().zip(indices) {
-                        request_inputs[ri] = Some(input);
-                    }
-                    next_pending.extend_from_slice(indices);
-                }
-            }
-
-            // Health bookkeeping, in deterministic shard order. Soft
-            // faults degrade; hard faults quarantine; a clean slice on a
-            // soft-fault-free shard counts toward recovery.
-            for &(shard, label) in &soft_faults {
-                count_fault_detected(label);
-                self.health.note_soft(shard, label);
-            }
-            for shard in served {
-                let before = profiles[shard].load;
-                self.note_shard_work(
-                    shard,
-                    work[shard].len(),
-                    profiles[shard].beats_per_request,
-                    (before.ii_cycles, before.ii_samples),
-                );
-                if soft_faults.iter().any(|&(s, _)| s == shard) {
+                if hard_faults.len() > failed_before {
+                    // A partial result is a vote subtotal: the whole slice
+                    // goes back for redirection.
+                    inputs.give_back(indices, std::mem::take(&mut runs[members[0]].inputs));
+                    pending.extend_from_slice(indices);
                     continue;
                 }
-                let after = self.engines[shard].load();
-                let (gap_cycles, gap_samples) = (
-                    after.ii_cycles - before.ii_cycles,
-                    after.ii_samples - before.ii_samples,
+                let outputs: Vec<&ShardOutput> = members
+                    .iter()
+                    .map(|&m| match &runs[m].outcome {
+                        Some(Ok(output)) => output,
+                        _ => unreachable!("failed units never reach reassembly"),
+                    })
+                    .collect();
+                reassemble(
+                    &mut slots,
+                    first_id,
+                    indices,
+                    members[0],
+                    &outputs,
+                    self.capture_sums,
                 );
-                if gap_samples > 0
-                    && gap_cycles.div_ceil(gap_samples)
-                        > II_OUTLIER_FACTOR.saturating_mul(modeled_ii.max(1))
-                {
+                served_shards.extend_from_slice(members);
+            }
+
+            // 4. Bookkeeping — every member of a served unit did real
+            // engine work — and health, in deterministic shard order.
+            for (shard, run) in runs.iter().enumerate() {
+                for &label in &run.directives.soft {
+                    count_fault_detected(label);
+                    self.health.note_soft(shard, label);
+                }
+            }
+            for shard in served_shards {
+                let ii = self.note_shard_work(shard, runs[shard].inputs.len(), profiles[shard]);
+                if !self.resilient || !runs[shard].directives.soft.is_empty() {
+                    continue;
+                }
+                if ii.is_some_and(|ii| ii > II_OUTLIER_FACTOR.saturating_mul(modeled_ii.max(1))) {
                     count_fault_detected("ii_outlier");
                     self.health.note_soft(shard, "ii_outlier");
                 } else {
@@ -1605,283 +1641,28 @@ impl<'a> ShardPool<'a> {
                 count_fault_detected(cause);
                 self.health.note_hard(shard, cause);
             }
-            // Submission order keeps redirect planning deterministic and
-            // independent of which shards failed in what order.
-            next_pending.sort_unstable();
-            pending = next_pending;
+            // 5. Redirect. Submission order keeps re-planning
+            // deterministic and independent of which shards failed in
+            // what order.
+            pending.sort_unstable();
         }
         let predictions: Vec<Prediction> = slots
             .into_iter()
-            .map(|p| p.expect("the redirect loop serves every request or fails typed"))
+            .map(|p| p.expect("the flush loop serves every request or fails typed"))
             .collect();
         self.latencies
             .extend(predictions.iter().map(|p| p.latency_cycles));
         Ok(predictions)
     }
 
-    /// The partition-group flush: plan over execution *units*, run every
-    /// member of a chosen unit over that unit's whole slice, and merge
-    /// the members' partial class sums into each final winner.
-    ///
-    /// Correctness rests on the partitioner's contract
-    /// ([`matador_sim::CompilePipeline::partition`]): each member's
-    /// design is the same architecture over a disjoint clause range cut
-    /// at even (polarity-preserving) boundaries, so summing the members'
-    /// class sums element-wise reproduces the monolithic sums exactly —
-    /// and because every part streams the same packet count, the
-    /// members' cycle stamps are identical to the monolithic engine's.
-    /// The served prediction carries the merged sums, the argmax winner,
-    /// the slowest member's latency/completion stamp, and the lead
-    /// (lowest-index) member as its shard attribution.
-    ///
-    /// In resilient mode a unit serves its slice only when *every*
-    /// member produced a clean output: a partial result is meaningless
-    /// (it is a vote subtotal), so any member failure discards the whole
-    /// unit's slice, quarantines the failed members and redirects the
-    /// requests to surviving units — the unit-level twin of
-    /// [`ShardPool::flush_resilient`], with the same termination
-    /// argument (every losing round quarantines at least one member,
-    /// and breakers cannot half-open mid-flush).
-    fn flush_partitioned(&mut self, requests: Vec<Request>) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let units = self.units.clone();
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        // Members of one unit each need their own copy of the slice, so
-        // inputs are cloned per run rather than moved (the ungrouped
-        // paths' zero-copy hand-off has no equivalent here).
-        let request_inputs: Vec<BitVec> = requests.into_iter().map(|r| r.input).collect();
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        let mut pending: Vec<usize> = (0..request_ids.len()).collect();
-        let mut round = 0u64;
-        while !pending.is_empty() {
-            if self.resilient {
-                for &ri in &pending {
-                    self.check_healthy(request_widths[ri])?;
-                }
-            }
-            if round > 0 {
-                self.metrics.retries.inc();
-                self.metrics.redirects.add(pending.len() as u64);
-            }
-            round += 1;
-            let profiles = self.shard_profiles();
-            // Unit profiles for the planner: the lead member stands in
-            // for the unit (a group's members share one width and beat
-            // cost by construction, and their clocks advance in
-            // lockstep); the unit's weight is its most conservative
-            // member's.
-            let unit_profiles: Vec<ShardProfile> = units
-                .iter()
-                .map(|members| ShardProfile {
-                    load: profiles[members[0]].load,
-                    width: profiles[members[0]].width,
-                    beats_per_request: profiles[members[0]].beats_per_request,
-                    weight: members
-                        .iter()
-                        .map(|&m| self.weights[m])
-                        .min()
-                        .expect("units are non-empty"),
-                })
-                .collect();
-            let widths: Vec<usize> = pending.iter().map(|&ri| request_widths[ri]).collect();
-            let assignment = if self.resilient {
-                let eligible: Vec<bool> = units
-                    .iter()
-                    .map(|members| members.iter().all(|&m| self.health.eligible(m)))
-                    .collect();
-                self.dispatcher
-                    .plan_eligible(&unit_profiles, &widths, &eligible)
-            } else {
-                self.dispatcher.plan_profiles(&unit_profiles, &widths)
-            };
-            // Per-unit work lists (order within a unit = submission
-            // order), expanded so every member runs its unit's slice.
-            let mut unit_work: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-            for (k, &u) in assignment.iter().enumerate() {
-                unit_work[u].push(pending[k]);
-            }
-            let mut shard_work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-            for (u, members) in units.iter().enumerate() {
-                for &m in members {
-                    shard_work[m] = unit_work[u].clone();
-                }
-            }
-            let directives: Vec<SliceFaults> = (0..self.engines.len())
-                .map(|s| {
-                    if self.faults.armed() && !shard_work[s].is_empty() {
-                        self.faults.plan_slice(s, shard_work[s].len())
-                    } else {
-                        SliceFaults::clean()
-                    }
-                })
-                .collect();
-            for d in &directives {
-                for &label in &d.soft {
-                    count_fault_injected(label);
-                }
-                if let Some(label) = d.hard {
-                    count_fault_injected(label);
-                }
-            }
-            let serial = self.shared_chunk_cost.is_some();
-            let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-            let mut runs: Vec<ShardRun<'_, 'a>> = self
-                .engines
-                .iter_mut()
-                .zip(&profiles)
-                .zip(&shard_work)
-                .zip(directives)
-                .map(|(((engine, profile), indices), directives)| ShardRun {
-                    engine,
-                    beats_per_request: profile.beats_per_request,
-                    inputs: indices
-                        .iter()
-                        .map(|&ri| request_inputs[ri].clone())
-                        .collect(),
-                    directives,
-                    outcome: None,
-                })
-                .collect();
-            Self::execute_runs(serial, threads, self.resilient, &mut runs);
-
-            // Tear the runs down into per-shard outcomes so units can be
-            // triaged while the pool's health state is mutable again.
-            let mut outcomes: Vec<Option<Result<ShardOutput, SliceError>>> =
-                Vec::with_capacity(runs.len());
-            let mut run_directives: Vec<SliceFaults> = Vec::with_capacity(runs.len());
-            for run in runs {
-                outcomes.push(run.outcome);
-                run_directives.push(run.directives);
-            }
-
-            // Soft faults degrade their shard whether or not the unit's
-            // slice also died — deterministic shard order.
-            for (shard, d) in run_directives.iter().enumerate() {
-                for &label in &d.soft {
-                    count_fault_detected(label);
-                    self.health.note_soft(shard, label);
-                }
-            }
-
-            // Triage per unit: all members clean → merge and serve; any
-            // failure → discard the whole slice and redirect.
-            let mut next_pending: Vec<usize> = Vec::new();
-            let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
-            for (u, members) in units.iter().enumerate() {
-                let indices = &unit_work[u];
-                if indices.is_empty() {
-                    continue;
-                }
-                let mut failed: Vec<(usize, &'static str)> = Vec::new();
-                for &m in members {
-                    match &outcomes[m] {
-                        Some(Ok(_)) => {}
-                        Some(Err(SliceError::Engine(error))) => {
-                            if !self.resilient {
-                                return Err(ServeError::Shard {
-                                    shard: m,
-                                    error: *error,
-                                });
-                            }
-                            failed.push((m, "engine_error"));
-                        }
-                        Some(Err(SliceError::Corrupted)) => failed.push((m, "corrupt_sum")),
-                        // An unset outcome after execution means the
-                        // worker panicked (only reachable in resilient
-                        // mode, where panics are contained).
-                        None => failed.push((m, run_directives[m].hard.unwrap_or("panic"))),
-                    }
-                }
-                if !failed.is_empty() {
-                    hard_faults.extend(failed);
-                    next_pending.extend_from_slice(indices);
-                    continue;
-                }
-                let lead = members[0];
-                for (j, &ri) in indices.iter().enumerate() {
-                    let mut merged: Vec<i32> = Vec::new();
-                    let mut latency = 0u64;
-                    let mut completed = 0u64;
-                    for &m in members {
-                        let Some(Ok(output)) = &outcomes[m] else {
-                            unreachable!("failed units never reach the merge")
-                        };
-                        if members.len() > 1 {
-                            if merged.is_empty() {
-                                merged.clone_from(&output.class_sums[j]);
-                            } else {
-                                for (acc, &s) in merged.iter_mut().zip(&output.class_sums[j]) {
-                                    *acc += s;
-                                }
-                            }
-                        }
-                        latency = latency.max(output.results[j].cycle - output.first_beats[j] + 1);
-                        completed = completed.max(output.results[j].cycle);
-                    }
-                    let Some(Ok(lead_output)) = &outcomes[lead] else {
-                        unreachable!("failed units never reach the merge")
-                    };
-                    let winner = if members.len() > 1 {
-                        tsetlin::tm::argmax(&merged)
-                    } else {
-                        lead_output.results[j].winner
-                    };
-                    let class_sums = self.capture_sums.then(|| {
-                        if members.len() > 1 {
-                            merged.clone()
-                        } else {
-                            lead_output.class_sums[j].clone()
-                        }
-                    });
-                    slots[ri] = Some(Prediction {
-                        request: request_ids[ri],
-                        winner,
-                        shard: lead,
-                        latency_cycles: latency,
-                        completed_at_cycle: completed,
-                        class_sums,
-                    });
-                }
-                // Every member did real engine work — book it per
-                // member (the report's per-shard streams stay honest),
-                // and clean runs count toward breaker recovery.
-                for &m in members {
-                    let before = profiles[m].load;
-                    self.note_shard_work(
-                        m,
-                        indices.len(),
-                        profiles[m].beats_per_request,
-                        (before.ii_cycles, before.ii_samples),
-                    );
-                    if self.resilient && run_directives[m].is_clean() {
-                        self.health.note_clean(m);
-                    }
-                }
-            }
-            for (shard, cause) in hard_faults {
-                count_fault_detected(cause);
-                self.health.note_hard(shard, cause);
-            }
-            // Submission order keeps redirect planning deterministic.
-            next_pending.sort_unstable();
-            pending = next_pending;
-        }
-        let predictions: Vec<Prediction> = slots
-            .into_iter()
-            .map(|p| p.expect("the partitioned flush serves every request or fails typed"))
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        Ok(predictions)
-    }
-
-    /// The shard a flush of `pending` requests should run on when one
-    /// shard can take it whole: the only shard of a one-shard pool, or —
-    /// on a homogeneous turbo pool with consolidation enabled — the
-    /// least-loaded shard (tie → lowest index) when the flush carries
-    /// less than one consolidation floor of tape work per shard.
+    /// The unit a flush of `pending` requests should run on when one
+    /// unit can take it whole: the only unit of a one-unit pool, or — on
+    /// a homogeneous turbo pool — the least-loaded eligible shard (tie →
+    /// lowest index) when the flush carries less than one consolidation
+    /// floor of tape work per shard. Every turbo shard there runs the
+    /// same immutable instruction tape, so the assignment is
+    /// result-invisible and spreading such a flush only buys per-shard
+    /// dispatch overhead.
     ///
     /// The floor is the chunk threshold *clamped to the built-in default*:
     /// `chunk_threshold` is an intra-shard fan-out knob whose `u64::MAX`
@@ -1889,32 +1670,29 @@ impl<'a> ShardPool<'a> {
     /// leaked into this decision — `spread_floor` saturated to `u64::MAX`
     /// and every flush, however large, consolidated onto a single shard,
     /// silently turning a multi-shard pool into one shard. Clamping keeps
-    /// the two knobs decoupled: threshold `0` still disables consolidation
+    /// the two knobs decoupled: threshold `0` disables consolidation
     /// (every flush spreads), the default passes through unchanged, and
     /// `u64::MAX` disables chunking only, leaving consolidation at the
     /// default floor.
     fn single_executor(&self, pending: usize) -> Option<usize> {
-        if self.engines.len() == 1 {
+        if self.units.len() == 1 {
             return Some(0);
         }
         let chunk_cost = self.shared_chunk_cost?;
-        if !self.consolidate {
-            return None;
-        }
         let lane_words = pending.div_ceil(matador_sim::LANES) as u64;
         let batch_cost = chunk_cost.saturating_mul(lane_words);
-        if !Self::flush_consolidates(batch_cost, self.chunk_threshold, self.engines.len() as u64) {
+        if !Self::flush_consolidates(batch_cost, self.chunk_threshold, self.units.len() as u64) {
             return None;
         }
-        // Resilient pools never consolidate onto a quarantined shard;
-        // with nothing eligible the flush falls through to the spread
-        // path, whose health check turns that into a typed error.
-        self.engines
+        // Never consolidate onto a quarantined shard. With nothing
+        // eligible there is no single executor (and the flush loop's
+        // health check has already failed the flush typed).
+        self.units
             .iter()
             .enumerate()
-            .filter(|&(i, _)| !self.resilient || self.health.eligible(i))
-            .min_by_key(|(i, e)| (e.load().cycles, *i))
-            .map(|(i, _)| i)
+            .filter(|(_, members)| self.unit_eligible(members))
+            .min_by_key(|&(unit, members)| (self.engines[members[0]].load().cycles, unit))
+            .map(|(unit, _)| unit)
     }
 
     /// Whether a flush of `batch_cost` tape work (chunk cost × lane
@@ -1933,261 +1711,43 @@ impl<'a> ShardPool<'a> {
         batch_cost < spread_floor
     }
 
-    /// Runs one whole flush on `shard`, inline on the caller — the
-    /// fast path behind [`ShardPool::flush`]: no dispatch planning, no
-    /// cross-shard reassembly, predictions built in submission order
-    /// directly. The dispatcher's round-robin cursors are deliberately
-    /// left untouched: a consolidated flush never rotates them, which
-    /// keeps the assignment deterministic for any flush sequence.
-    fn flush_to_shard(
-        &mut self,
-        shard: usize,
-        requests: Vec<Request>,
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let before = self.engines[shard].load();
-        let beats = self.designs[shard].shape().num_packets() as u64;
-        let mut ids = Vec::with_capacity(requests.len());
-        let mut inputs = Vec::with_capacity(requests.len());
-        for r in requests {
-            ids.push(r.id);
-            inputs.push(r.input);
-        }
-        let output = self.engines[shard]
-            .run(&inputs, beats)
-            .map_err(|error| ServeError::Shard { shard, error })?;
-        debug_assert_eq!(output.results.len(), ids.len());
-        let predictions: Vec<Prediction> = ids
-            .into_iter()
-            .enumerate()
-            .map(|(j, request)| Prediction {
-                request,
-                winner: output.results[j].winner,
-                shard,
-                latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                completed_at_cycle: output.results[j].cycle,
-                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-            })
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        self.note_shard_work(
-            shard,
-            predictions.len(),
-            beats,
-            (before.ii_cycles, before.ii_samples),
-        );
-        Ok(predictions)
-    }
-
-    /// The resilient twin of [`ShardPool::flush_to_shard`]: runs the
-    /// whole flush on one shard with fault injection and panic
-    /// containment, hopping to the next least-loaded eligible compatible
-    /// shard whenever the current candidate suffers a hard fault. The
-    /// hop terminates: every failed attempt quarantines its shard, and
-    /// breakers cannot half-open again mid-flush.
-    fn flush_to_shard_resilient(
-        &mut self,
-        mut shard: usize,
-        requests: Vec<Request>,
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let width = requests[0].input.len();
-        let mut ids = Vec::with_capacity(requests.len());
-        let mut inputs = Vec::with_capacity(requests.len());
-        for r in requests {
-            ids.push(r.id);
-            inputs.push(r.input);
-        }
-        loop {
-            self.check_healthy(width)?;
-            let directives = if self.faults.armed() {
-                self.faults.plan_slice(shard, inputs.len())
-            } else {
-                SliceFaults::clean()
-            };
-            for &label in &directives.soft {
-                count_fault_injected(label);
-            }
-            if let Some(label) = directives.hard {
-                count_fault_injected(label);
-            }
-            let before = self.engines[shard].load();
-            let beats = self.designs[shard].shape().num_packets() as u64;
-            let outcome = {
-                let engine = &mut self.engines[shard];
-                let mut faulty = FaultyEngine {
-                    engine,
-                    directives: &directives,
-                };
-                catch_unwind(AssertUnwindSafe(|| faulty.run(&inputs, beats)))
-            };
-            // Soft faults degrade the shard whether or not the slice
-            // also died; the breaker sees every injected symptom.
-            for &label in &directives.soft {
-                count_fault_detected(label);
-                self.health.note_soft(shard, label);
-            }
-            let failure = match outcome {
-                Ok(Ok(output)) => {
-                    debug_assert_eq!(output.results.len(), ids.len());
-                    let predictions: Vec<Prediction> = ids
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, request)| Prediction {
-                            request,
-                            winner: output.results[j].winner,
-                            shard,
-                            latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                            completed_at_cycle: output.results[j].cycle,
-                            class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                        })
-                        .collect();
-                    self.latencies
-                        .extend(predictions.iter().map(|p| p.latency_cycles));
-                    self.note_shard_work(
-                        shard,
-                        predictions.len(),
-                        beats,
-                        (before.ii_cycles, before.ii_samples),
-                    );
-                    if directives.is_clean() {
-                        self.health.note_clean(shard);
-                    }
-                    return Ok(predictions);
-                }
-                Ok(Err(SliceError::Engine(_))) => "engine_error",
-                Ok(Err(SliceError::Corrupted)) => "corrupt_sum",
-                Err(_) => directives.hard.unwrap_or("panic"),
-            };
-            count_fault_detected(failure);
-            self.health.note_hard(shard, failure);
-            self.metrics.retries.inc();
-            self.metrics.redirects.add(ids.len() as u64);
-            // Redirect to the least-loaded surviving compatible shard;
-            // with none left, the health check at the loop head fails
-            // typed instead of retrying the dead candidate.
-            if let Some(next) = self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| {
-                    self.health.eligible(s) && self.designs[s].shape().features == width
-                })
-                .min_by_key(|(s, e)| (e.load().cycles, *s))
-                .map(|(s, _)| s)
-            {
-                shard = next;
-            }
-        }
-    }
-
-    /// Runs one serve window on `shard` straight from the caller's
-    /// borrowed slice — the zero-copy twin of
-    /// [`ShardPool::flush_to_shard`] for inputs that never entered the
-    /// FIFO. Request ids are the contiguous block starting at
-    /// `first_id` (from [`RequestQueue::admit_block`]).
-    fn run_shard_window(
-        &mut self,
-        shard: usize,
-        first_id: u64,
-        inputs: &[BitVec],
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let before = self.engines[shard].load();
-        let beats = self.designs[shard].shape().num_packets() as u64;
-        let output = self.engines[shard]
-            .run(inputs, beats)
-            .map_err(|error| ServeError::Shard { shard, error })?;
-        debug_assert_eq!(output.results.len(), inputs.len());
-        let predictions: Vec<Prediction> = output
-            .results
-            .iter()
-            .enumerate()
-            .map(|(j, result)| Prediction {
-                request: first_id + j as u64,
-                winner: result.winner,
-                shard,
-                latency_cycles: result.cycle - output.first_beats[j] + 1,
-                completed_at_cycle: result.cycle,
-                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-            })
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        self.note_shard_work(
-            shard,
-            predictions.len(),
-            beats,
-            (before.ii_cycles, before.ii_samples),
-        );
-        Ok(predictions)
-    }
-
-    /// Serves a whole batch: submits each datapoint, flushing whenever
-    /// the bounded queue fills, and once more at the end. Returns
-    /// predictions in input order. The queue's depth bound is respected
-    /// by flushing *before* it would overflow, so the backpressure
-    /// counter ([`RequestQueue::rejected`]) only ever reflects real
-    /// external rejections, never this loop's own batching.
-    ///
-    /// When the queue starts empty and a window lands on a single shard
-    /// (a one-shard pool, or a consolidated flush on a homogeneous turbo
-    /// pool), the window runs zero-copy from the borrowed slice with
-    /// block-admitted ids — identical results, ids, latencies, and
-    /// admission counters to the submit/flush path, minus the clones.
+    /// Serves a whole batch and returns predictions in input order.
+    /// Anything already queued flushes first; the batch then runs as
+    /// queue-capacity windows, each flushed straight off the borrowed
+    /// slice exactly as [`ShardPool::flush`] runs the queue. Ids
+    /// come from a block admission ([`RequestQueue::admit_block`]), so
+    /// ids and admission counters advance exactly as if every input had
+    /// been submitted, the depth bound is respected (the backpressure
+    /// counter, [`RequestQueue::rejected`], only ever reflects real
+    /// external rejections), and a unit taking a whole window — a
+    /// one-shard pool, or a consolidated flush — runs it without
+    /// copying a datapoint.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WidthMismatch`] /
     /// [`ServeError::NoCompatibleShard`] — checked for the *whole* batch
     /// up front, before anything is flushed, so a malformed input cannot
-    /// strand already-classified predictions — and propagates
-    /// [`ServeError::Shard`] from flushing.
+    /// strand already-classified predictions — and propagates the flush
+    /// errors of [`ShardPool::flush`].
     pub fn serve(&mut self, inputs: &[BitVec]) -> Result<Vec<Prediction>, ServeError> {
         for input in inputs {
             self.check_width(input.len())?;
         }
-        let mut out = Vec::with_capacity(inputs.len());
-        // Resilient pools always route through submit/flush: the fault
-        // injector and health bookkeeping bracket every slice there, and
-        // the zero-copy window path has no retry story for a borrowed
-        // slice. Fault-free pools keep the fast path untouched.
-        if self.queue.is_empty() && !self.resilient {
-            // Zero-copy path: with nothing pending, each flush window is
-            // exactly a queue-capacity chunk of the caller's slice. Any
-            // window a single shard can take whole runs straight off the
-            // borrowed inputs — ids come from a block admission, and the
-            // datapoints are never cloned into the FIFO.
-            for window in inputs.chunks(self.queue.capacity()) {
-                if let Some(shard) = self.single_executor(window.len()) {
-                    let first_id = self.queue.admit_block(window.len())?;
-                    out.extend(self.run_shard_window(shard, first_id, window)?);
-                } else {
-                    for input in window {
-                        self.queue.push(input.clone())?;
-                    }
-                    out.extend(self.flush()?);
-                }
+        let mut out = self.flush()?;
+        for window in inputs.chunks(self.queue.capacity()) {
+            let first_id = self.queue.admit_block(window.len())?;
+            let inputs = FlushInputs {
+                window,
+                stash: Vec::new(),
+            };
+            let predictions = self.run_flush(first_id, inputs)?;
+            if out.is_empty() {
+                out = predictions;
+            } else {
+                out.extend(predictions);
             }
-            return Ok(out);
         }
-        for input in inputs {
-            if self.queue.len() >= self.queue.capacity() {
-                out.extend(self.flush()?);
-            }
-            self.submit(input)?;
-        }
-        out.extend(self.flush()?);
         Ok(out)
     }
 
@@ -2523,8 +2083,9 @@ mod tests {
                     options.capture_class_sums = true;
                     options.backend = backend;
                     // Shard *assignments* must match the cycle pool too,
-                    // so keep the turbo pool on the configured policy.
-                    options.consolidate = false;
+                    // so keep the turbo pool on the configured policy:
+                    // threshold 0 spreads every flush.
+                    options.chunk_threshold = Some(0);
                     let mut pool = ShardPool::with_options(&a, options).expect("valid");
                     // Two batches exercise the cumulative shard clocks the
                     // stateful policies dispatch on.
@@ -2619,17 +2180,6 @@ mod tests {
             vec![0, 1, 2, 3, 0, 1, 2, 3],
             "threshold 0 spreads round-robin"
         );
-    }
-
-    #[test]
-    fn consolidation_off_spreads_even_tiny_turbo_flushes() {
-        let a = accel();
-        let mut options = ServeOptions::turbo(4);
-        options.consolidate = false;
-        let mut pool = ShardPool::with_options(&a, options).expect("valid");
-        let preds = pool.serve(&inputs(8)).expect("infallible");
-        let shards: Vec<usize> = preds.iter().map(|p| p.shard).collect();
-        assert_eq!(shards, vec![0, 1, 2, 3, 0, 1, 2, 3], "round-robin kept");
     }
 
     #[test]
@@ -2967,19 +2517,136 @@ mod tests {
     use crate::fault::FaultEvent;
     use crate::FaultKind;
 
+    /// Serves one batch on a classic pool of some shape and on the same
+    /// shape in resilient mode with [`FaultPlan::none`] (`pool(None)` /
+    /// `pool(Some(plan))`): predictions, report and per-shard stats must
+    /// agree observation for observation. Returns the predictions.
+    fn assert_empty_plan_matches_classic<'a>(
+        shape: &str,
+        pool: impl Fn(Option<FaultPlan>) -> ShardPool<'a>,
+    ) -> Vec<Prediction> {
+        let xs = inputs(13);
+        let mut classic = pool(None);
+        let expected = classic.serve(&xs).expect("drains");
+        let mut resilient = pool(Some(FaultPlan::none()));
+        assert!(resilient.resilient(), "{shape}");
+        assert_eq!(resilient.serve(&xs).expect("drains"), expected, "{shape}");
+        assert_eq!(resilient.report(), classic.report(), "{shape}");
+        assert_eq!(resilient.shard_stats(), classic.shard_stats(), "{shape}");
+        assert!(resilient.health_log().is_empty(), "{shape}");
+        assert_eq!(resilient.healthy_shards(), resilient.shards(), "{shape}");
+        expected
+    }
+
     #[test]
     fn empty_fault_plan_matches_the_classic_pool() {
         let a = accel();
-        let xs = inputs(13);
-        let mut classic = ShardPool::new(&a, 3).expect("valid");
-        let expected = classic.serve(&xs).expect("drains");
-        let mut resilient =
-            ShardPool::with_fault_plan(&a, ServeOptions::new(3), FaultPlan::none()).expect("valid");
-        assert!(resilient.resilient());
-        let got = resilient.serve(&xs).expect("drains");
-        assert_eq!(got, expected);
-        assert!(resilient.health_log().is_empty());
-        assert_eq!(resilient.healthy_shards(), 3);
+        let homogeneous = |options: ServeOptions| {
+            let a = &a;
+            move |plan: Option<FaultPlan>| {
+                let options = ServeOptions {
+                    capture_class_sums: true,
+                    ..options
+                };
+                match plan {
+                    None => ShardPool::with_options(a, options),
+                    Some(plan) => ShardPool::with_fault_plan(a, options, plan),
+                }
+                .expect("valid")
+            }
+        };
+        let spread =
+            assert_empty_plan_matches_classic("3-shard cycle", homogeneous(ServeOptions::new(3)));
+        assert!(
+            spread.iter().any(|p| p.shard != 0),
+            "the cycle pool spreads"
+        );
+        let consolidated =
+            assert_empty_plan_matches_classic("4-shard turbo", homogeneous(ServeOptions::turbo(4)));
+        assert!(
+            consolidated.iter().all(|p| p.shard == 0),
+            "the turbo pool consolidates"
+        );
+
+        let wide = wide_accel();
+        let mut specs = partitioned_specs(&wide, 2, 0);
+        specs.extend(partitioned_specs(&wide, 2, 1));
+        let options = ServeOptions {
+            capture_class_sums: true,
+            ..ServeOptions::new(4)
+        };
+        let partitioned = assert_empty_plan_matches_classic("two K = 2 groups", |plan| {
+            match plan {
+                None => ShardPool::heterogeneous(&specs, options),
+                Some(plan) => ShardPool::heterogeneous_with_fault_plan(&specs, options, plan),
+            }
+            .expect("valid")
+        });
+        assert!(
+            partitioned.iter().any(|p| p.shard == 0) && partitioned.iter().any(|p| p.shard == 2)
+        );
+    }
+
+    /// [`accel`]'s boolean function compiled on a `bus`-bit bus: every
+    /// window keeps the literals of its own feature range. A narrower
+    /// bus streams more packets per datapoint — the same answers at a
+    /// proportionally higher II.
+    fn accel_on_bus(bus: usize) -> CompiledAccelerator {
+        let shape = AccelShape {
+            bus_width: bus,
+            features: 8,
+            classes: 2,
+            clauses_per_class: 2,
+        };
+        let clauses: [&[usize]; 4] = [&[0], &[1], &[2, 4], &[3]];
+        let windows: Vec<Vec<Cube>> = (0..8 / bus)
+            .map(|w| {
+                clauses
+                    .iter()
+                    .map(|features| {
+                        Cube::from_lits(
+                            features
+                                .iter()
+                                .filter(|&&f| f / bus == w)
+                                .map(|&f| Lit::pos((f % bus) as u32)),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        CompiledAccelerator::from_window_cubes(shape, &windows, Sharing::Enabled)
+    }
+
+    #[test]
+    fn ii_outlier_degrades_a_shard_far_slower_than_the_pool() {
+        // One model on an 8-bit bus (1 packet, II 1) and a 1-bit bus (8
+        // packets, II 8) behind a fault-free resilient pool.
+        let specs = vec![
+            ShardSpec::new(accel_on_bus(8)),
+            ShardSpec::new(accel_on_bus(1)),
+        ];
+        let mut pool = ShardPool::heterogeneous_with_fault_plan(
+            &specs,
+            ServeOptions::new(1),
+            FaultPlan::none(),
+        )
+        .expect("valid");
+        // Round-robin over three requests: the wide shard observes one
+        // gap of II 1, the narrow shard none yet.
+        pool.serve(&inputs(3)).expect("drains");
+        assert!(pool.health_log().is_empty());
+        assert_eq!(pool.modeled_ii_cycles(), 1);
+        // Now the narrow shard streams two requests back to back: its II
+        // of 8 exceeds II_OUTLIER_FACTOR × the modeled II of 1.
+        let preds = pool.serve(&inputs(4)).expect("a soft fault loses nothing");
+        assert_eq!(preds.len(), 4);
+        assert_eq!(pool.shard_stats()[1].ii_cycles, 8);
+        let log = pool.health_log();
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert_eq!(
+            (log[0].shard, log[0].from, log[0].to, log[0].cause),
+            (1, ShardHealth::Healthy, ShardHealth::Degraded, "ii_outlier")
+        );
     }
 
     #[test]
