@@ -1,36 +1,28 @@
-//! Compile-pipeline benchmark: per-pass tape statistics and compile
-//! wall-clock on the KWS-6 design, plus the partitioned-serving
-//! equivalence check, with a machine-readable artifact.
+//! Partitioned-serving benchmark: the KWS-6 design served as a K-shard
+//! partition group must reproduce the monolithic pool's winners bit for
+//! bit, with a machine-readable artifact.
 //!
 //! One KWS-6 model is trained (or cache-loaded) and its accelerator
-//! generated (or cache-loaded); every pass combination — raw flatten,
-//! CSE only, scheduling only, the default pipeline — compiles the same
-//! design, reporting tape size before/after, CSE dedup hits, scheduler
-//! operand distance and best-of-repeats compile wall-clock. The
-//! partitioner then cuts the design into each requested K and a
-//! K-shard partition-group pool must reproduce the monolithic pool's
-//! winners bit for bit (always asserted; a mismatch fails the run).
+//! generated (or cache-loaded). The partitioner then cuts the design
+//! into each requested K, and a K-shard partition-group pool serves the
+//! same batch as a one-shard monolithic pool (always asserted; a
+//! mismatch exits non-zero).
 //!
 //! ```text
 //! cargo run -p matador-bench --bin compile_bench --release -- \
-//!     [--quick] [--seed N] [--batch N] [--repeats N] \
-//!     [--partitions 2,4] [--out BENCH_compile.json] \
-//!     [--assert-cse-shrinkage]
+//!     [--quick] [--seed N] [--batch N] \
+//!     [--partitions 2,4] [--out BENCH_compile.json]
 //! ```
 //!
-//! The JSON artifact (`BENCH_compile.json` by default) tracks the
-//! compiler's trajectory per commit: one row per pass combination and
-//! one per partition count. `--assert-cse-shrinkage` exits non-zero
-//! unless the default pipeline's CSE pass shrank the KWS-6 tape
-//! (`tape_after < tape_before` with at least one dedup hit) — the
-//! release CI gate keeping the optimization passes honest.
+//! The JSON artifact (`BENCH_compile.json` by default) records the
+//! monolithic tape size and one row per partition count: parts, cut
+//! cost and whether the winners matched.
 
 use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
 use matador_bench::{BenchArtifact, DesignCache, ModelCache};
 use matador_datasets::{generate, DatasetKind};
 use matador_serve::{EngineBackend, ServeOptions, ShardPool, ShardSpec};
-use matador_sim::{CompileOptions, CompilePipeline, CompiledAccelerator, PassStats};
-use std::time::Instant;
+use matador_sim::{CompileOptions, CompilePipeline, TurboProgram};
 use tsetlin::bits::BitVec;
 
 fn main() {
@@ -46,19 +38,15 @@ fn main() {
 
 struct BenchArgs {
     batch: usize,
-    repeats: usize,
     partitions: Vec<usize>,
     out: String,
-    assert_cse_shrinkage: bool,
     opts: EvalOptions,
 }
 
 fn parse_args() -> Result<BenchArgs, matador::Error> {
     let mut batch = 1024usize;
-    let mut repeats = 3usize;
     let mut partitions = vec![2usize];
     let mut out = "BENCH_compile.json".to_string();
-    let mut assert_cse_shrinkage = false;
     let mut rest: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -73,68 +61,22 @@ fn parse_args() -> Result<BenchArgs, matador::Error> {
                     .filter(|&n| n > 0)
                     .ok_or_else(|| bad_arg(format!("--batch '{value}' is not positive")))?;
             }
-            "--repeats" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--repeats requires a value"))?;
-                repeats = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_arg(format!("--repeats '{value}' is not positive")))?;
-            }
             "--partitions" => partitions = parse_positive_list(&arg, args.next())?,
             "--out" => {
                 out = args
                     .next()
                     .ok_or_else(|| bad_arg("--out requires a path"))?;
             }
-            "--assert-cse-shrinkage" => assert_cse_shrinkage = true,
             _ => rest.push(arg),
         }
     }
     let opts = EvalOptions::from_args(rest)?;
     Ok(BenchArgs {
         batch,
-        repeats,
         partitions,
         out,
-        assert_cse_shrinkage,
         opts,
     })
-}
-
-/// One pass combination: its name, options, per-pass stats and best
-/// compile wall-clock.
-struct Combo {
-    name: &'static str,
-    stats: PassStats,
-    wall_s: f64,
-}
-
-/// Compiles `accel` under `options` `repeats` times and keeps the best
-/// wall-clock (compiles are deterministic; the best-of floor strips
-/// scheduler noise from the timing rows).
-fn measure(
-    accel: &CompiledAccelerator,
-    name: &'static str,
-    options: CompileOptions,
-    repeats: usize,
-) -> Combo {
-    let pipeline = CompilePipeline::new(options);
-    let mut best_wall = f64::INFINITY;
-    let mut stats = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let compiled = pipeline.compile(accel);
-        best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        stats = Some(compiled.stats);
-    }
-    Combo {
-        name,
-        stats: stats.expect("repeats is positive"),
-        wall_s: best_wall,
-    }
 }
 
 /// Winners a `specs` pool serves for `batch`.
@@ -153,10 +95,6 @@ fn run() -> Result<bool, matador::Error> {
     let kind = DatasetKind::Kws6;
     let opts = &args.opts;
     let threads = matador_par::configured_threads();
-    // Recording stays live: the compile pipeline books its per-pass
-    // stats through `matador-obs`, and the counter deltas below prove
-    // that wiring on every run.
-    matador_obs::set_enabled(true);
 
     eprintln!("[compile_bench] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
@@ -171,57 +109,13 @@ fn run() -> Result<bool, matador::Error> {
         .map(|i| data.test[i % data.test.len()].input.clone())
         .collect();
 
+    let tape = TurboProgram::compile(&accel).chunk_cost();
     println!(
-        "compile_bench — {kind} design, {} windows of bus width {}, seed {}, best of {} compiles",
+        "compile_bench — {kind} design, {} windows of bus width {}, seed {}, {tape} tape \
+         instructions",
         accel.shape().num_packets(),
         accel.shape().bus_width,
         opts.seed,
-        args.repeats
-    );
-
-    let combos = [
-        ("none", CompileOptions::none()),
-        (
-            "cse",
-            CompileOptions {
-                cse: true,
-                schedule: false,
-                partitions: 1,
-            },
-        ),
-        (
-            "schedule",
-            CompileOptions {
-                cse: false,
-                schedule: true,
-                partitions: 1,
-            },
-        ),
-        ("cse+schedule", CompileOptions::default()),
-    ];
-    let before = matador_obs::Registry::global().snapshot();
-    let cells: Vec<Combo> = combos
-        .iter()
-        .map(|&(name, options)| measure(&accel, name, options, args.repeats))
-        .collect();
-    let after = matador_obs::Registry::global().snapshot();
-    println!();
-    for c in &cells {
-        println!(
-            "  {:>13}  tape {:>6} -> {:<6} dedup {:>4}  distance {:>8} -> {:<8} ({:.4}s)",
-            c.name,
-            c.stats.tape_before,
-            c.stats.tape_after,
-            c.stats.cse_dedup_hits,
-            c.stats.schedule_distance_before,
-            c.stats.schedule_distance_after,
-            c.wall_s
-        );
-    }
-    let compile_runs = after.counter_delta(&before, "matador_compile_runs_total", "");
-    assert!(
-        compile_runs >= (combos.len() * args.repeats) as u64,
-        "the compile pipeline's obs counters were not recording ({compile_runs} runs booked)"
     );
 
     // Partitioned serving: a K-shard partition group must reproduce the
@@ -260,21 +154,7 @@ fn run() -> Result<bool, matador::Error> {
         threads,
     );
     artifact.push_run_metadata();
-    artifact.push_field("repeats", args.repeats.to_string());
-    for c in &cells {
-        artifact.push_row(format!(
-            "{{\"passes\": \"{}\", \"tape_before\": {}, \"tape_after\": {}, \
-             \"cse_dedup_hits\": {}, \"schedule_distance_before\": {}, \
-             \"schedule_distance_after\": {}, \"compile_wall_s\": {:.6}}}",
-            c.name,
-            c.stats.tape_before,
-            c.stats.tape_after,
-            c.stats.cse_dedup_hits,
-            c.stats.schedule_distance_before,
-            c.stats.schedule_distance_after,
-            c.wall_s
-        ));
-    }
+    artifact.push_field("tape_instructions", tape.to_string());
     for &(k, parts, cut_cost, identical) in &partition_rows {
         artifact.push_row(format!(
             "{{\"sweep\": \"partitions\", \"partitions\": {k}, \"parts\": {parts}, \
@@ -283,36 +163,5 @@ fn run() -> Result<bool, matador::Error> {
     }
     artifact.write(&args.out).map_err(matador::Error::other)?;
     println!("\nwrote {}", args.out);
-
-    if args.assert_cse_shrinkage {
-        // Gated on the CSE-only combo so scheduling's unreachable-slot
-        // dropping cannot mask a dead CSE pass.
-        let cse_cell = cells
-            .iter()
-            .find(|c| c.name == "cse")
-            .expect("the cse combo always runs");
-        let shrinkage = cse_cell
-            .stats
-            .tape_before
-            .saturating_sub(cse_cell.stats.tape_after);
-        if shrinkage == 0 {
-            eprintln!(
-                "::error::CSE left the {kind} tape unshrunk ({} -> {} instructions, {} dedup \
-                 hits): the pass stopped finding the design's redundancy",
-                cse_cell.stats.tape_before,
-                cse_cell.stats.tape_after,
-                cse_cell.stats.cse_dedup_hits
-            );
-            ok = false;
-        } else {
-            println!(
-                "cse-shrinkage gate passed: {} -> {} instructions (-{shrinkage}), {} window \
-                 dedup hits",
-                cse_cell.stats.tape_before,
-                cse_cell.stats.tape_after,
-                cse_cell.stats.cse_dedup_hits
-            );
-        }
-    }
     Ok(ok)
 }

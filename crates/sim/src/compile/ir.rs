@@ -1,19 +1,16 @@
-//! The untyped tape IR every pass of the pipeline transforms: one
-//! topologically-ordered instruction list per window, operating on
-//! lane-word strips.
+//! The untyped tape IR the turbo backend runs: one topologically-ordered
+//! instruction list per window, operating on lane-word strips.
 //!
 //! Lowering ([`WindowProgram::lower`]) flattens a [`LogicDag`] into slot
-//! indices; later passes ([`crate::compile::CompilePipeline`]) rewrite
-//! the tape but never its meaning — every transform preserves the value
-//! of every output slot bit-for-bit, which is what keeps the turbo
-//! backend's winners, class sums and cycle stamps identical across pass
-//! combinations.
+//! indices. The DAG is already hash-consed (structurally identical
+//! literals and ANDs share one node), so the tape needs no further
+//! rewriting: lowering only drops the logic no clause output reaches.
 
 use matador_logic::dag::{LogicDag, Node};
 
 /// One instruction of a flattened window tape, operating on lane-word
 /// strips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     /// All lanes 0.
     Const0,
@@ -28,9 +25,8 @@ pub(crate) enum Op {
 }
 
 /// One window DAG flattened into a topologically-ordered tape over the
-/// nodes reachable from its outputs (plus the two constant slots, which
-/// the CSE pass's dead-code sweep removes when nothing reads them).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// nodes reachable from its outputs.
+#[derive(Debug, Clone)]
 pub(crate) struct WindowProgram {
     pub(crate) ops: Vec<Op>,
     /// Tape slot per clause output.
@@ -38,17 +34,15 @@ pub(crate) struct WindowProgram {
 }
 
 impl WindowProgram {
-    /// The parse/lower pass: flattens one window DAG into a tape,
-    /// dropping logic unreachable from the outputs. Constants always
-    /// occupy slots 0/1 here — the raw monolithic flatten the rest of
-    /// the pipeline is equivalence-tested against.
+    /// Flattens one window DAG into a tape, dropping every node no
+    /// output reaches — the two constants included, so a constant gets a
+    /// slot only when some clause output is constant-valued.
     pub(crate) fn lower(dag: &LogicDag) -> Self {
         let reach = dag.reachable();
         let mut slot = vec![u32::MAX; dag.nodes().len()];
         let mut ops = Vec::new();
         for (i, node) in dag.nodes().iter().enumerate() {
-            // Constants always occupy slots 0/1; dead logic is dropped.
-            if i >= 2 && !reach[i] {
+            if !reach[i] {
                 continue;
             }
             slot[i] = u32::try_from(ops.len()).expect("tape fits u32");

@@ -1,71 +1,42 @@
-//! The compiler pass pipeline: LogicDag windows → tape IR → turbo
-//! program, with an optional design partitioner for model-parallel
-//! serving.
+//! The compiler: LogicDag windows → tape IR → turbo program, plus a
+//! design partitioner for model-parallel serving.
 //!
-//! [`TurboProgram::compile`] used to be a single monolithic flatten.
-//! It is now a convenience wrapper over this module's
-//! [`CompilePipeline`], which runs an explicit ordered pass list:
+//! Compilation is one translation, **lowering**: each window
+//! [`LogicDag`](matador_logic::dag::LogicDag) flattens to an untyped
+//! instruction tape over the nodes its clause outputs reach
+//! ([`TurboProgram::compile`] lowers every window and packages the
+//! tapes). The DAG is hash-consed when the generator builds it, which is
+//! where MATADOR's clause sharing happens, so a tape-level CSE would
+//! find nothing left to merge.
 //!
-//! 1. **parse/lower** — each window [`LogicDag`](matador_logic::dag::LogicDag) flattens to an untyped
-//!    instruction tape (always on; it *is* the translation).
-//! 2. **CSE / cross-window dedup** ([`CompileOptions::cse`]) — local
-//!    value numbering with constant folding and a dead-code sweep,
-//!    plus whole-tape dedup so identical windows compile once.
-//! 3. **scheduling** ([`CompileOptions::schedule`]) — DFS output-cone
-//!    postorder re-emission for lane-word operand locality.
-//! 4. **partitioning** ([`CompilePipeline::partition`], driven by
-//!    [`CompileOptions::partitions`]) — splits one oversized design
-//!    into K standalone sub-accelerators with a deterministic
-//!    class-sum merge plan ([`PartitionPlan`]).
-//!
-//! Every pass is semantics-preserving: winners, class sums and cycle
-//! stamps are bit-identical across every pass combination
-//! (`crates/sim/tests/compile_pipeline_equivalence.rs`). Per-pass
-//! stats surface through [`PassStats`] and the `matador_compile_*`
-//! counters in [`matador_obs`].
+//! The **partitioner** ([`CompilePipeline::partition`], driven by
+//! [`CompileOptions::partitions`]) splits one oversized design into K
+//! standalone sub-accelerators with a deterministic class-sum merge plan
+//! ([`PartitionPlan`]). Partitioned serving is bit-identical to the
+//! monolithic design — winners, class sums and cycle stamps
+//! (`crates/sim/tests/compile_pipeline_equivalence.rs`). Each cut books
+//! the `matador_compile_partitions_total` and
+//! `matador_compile_partition_cut_cost_total` counters in
+//! [`matador_obs`].
 //!
 //! # Examples
+//!
+//! Split a design and let a shard pool treat the parts as one logical
+//! model (`matador_serve::ShardSpec::partitioned`):
 //!
 //! ```
 //! use matador_logic::cube::{Cube, Lit};
 //! use matador_logic::dag::Sharing;
 //! use matador_sim::{AccelShape, CompiledAccelerator, CompileOptions, CompilePipeline};
 //!
-//! let shape = AccelShape { bus_width: 4, features: 4, classes: 2, clauses_per_class: 2 };
+//! let shape = AccelShape { bus_width: 4, features: 4, classes: 2, clauses_per_class: 4 };
 //! let cubes = vec![vec![
-//!     Cube::from_lits([Lit::pos(0)]),
-//!     Cube::one(),
-//!     Cube::from_lits([Lit::pos(1)]),
-//!     Cube::one(),
+//!     Cube::from_lits([Lit::pos(0)]), Cube::one(),
+//!     Cube::from_lits([Lit::pos(1)]), Cube::one(),
+//!     Cube::from_lits([Lit::pos(2)]), Cube::one(),
+//!     Cube::from_lits([Lit::pos(3)]), Cube::one(),
 //! ]];
 //! let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
-//!
-//! // The default pipeline (CSE + scheduling) — what TurboProgram::compile runs.
-//! let compiled = CompilePipeline::default().compile(&accel);
-//! assert!(compiled.stats.tape_after <= compiled.stats.tape_before);
-//!
-//! // Passes toggle individually; results never change.
-//! let raw = CompilePipeline::new(CompileOptions::none()).compile(&accel);
-//! let x = tsetlin::bits::BitVec::from_indices(4, &[0]);
-//! assert_eq!(
-//!     compiled.program.class_sums(&[x.clone()]),
-//!     raw.program.class_sums(&[x]),
-//! );
-//! ```
-//!
-//! Partitioned serving: split a design and let a shard pool treat the
-//! parts as one logical model (`matador_serve::ShardSpec::partitioned`):
-//!
-//! ```
-//! # use matador_logic::cube::{Cube, Lit};
-//! # use matador_logic::dag::Sharing;
-//! # use matador_sim::{AccelShape, CompiledAccelerator, CompileOptions, CompilePipeline};
-//! # let shape = AccelShape { bus_width: 4, features: 4, classes: 2, clauses_per_class: 4 };
-//! # let cubes = vec![vec![Cube::from_lits([Lit::pos(0)]), Cube::one(),
-//! #     Cube::from_lits([Lit::pos(1)]), Cube::one(),
-//! #     Cube::from_lits([Lit::pos(2)]), Cube::one(),
-//! #     Cube::from_lits([Lit::pos(3)]), Cube::one()]];
-//! # let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
 //! let pipeline = CompilePipeline::new(CompileOptions::default().with_partitions(2));
 //! let plan = pipeline.partition(&accel);
 //! assert_eq!(plan.len(), 2);
@@ -77,35 +48,22 @@
 //!     .collect();
 //! assert_eq!(plan.merge_class_sums(&member_sums), accel.batch_class_sums(&[x]).remove(0));
 //! ```
+//!
+//! [`TurboProgram::compile`]: crate::TurboProgram::compile
 
 pub(crate) mod ir;
 
-mod cse;
 mod partition;
-mod schedule;
 
 pub use partition::PartitionPlan;
 
 use crate::accel::CompiledAccelerator;
-use crate::turbo::TurboProgram;
-use ir::WindowProgram;
 use matador_obs::{Counter, Registry};
 use std::sync::{Arc, OnceLock};
 
-/// Compile-pipeline metric handles, resolved once per process (same
-/// pattern as the turbo datapath's metrics). Pure sinks.
+/// Partitioner metric handles, resolved once per process (same pattern
+/// as the turbo datapath's metrics). Pure sinks.
 struct CompileMetrics {
-    /// `matador_compile_runs_total` — pipeline compilations.
-    runs: Arc<Counter>,
-    /// `matador_compile_tape_instructions_total{stage="before"}` — tape
-    /// instructions entering the optimization passes.
-    tape_before: Arc<Counter>,
-    /// `matador_compile_tape_instructions_total{stage="after"}` — tape
-    /// instructions surviving them.
-    tape_after: Arc<Counter>,
-    /// `matador_compile_cse_dedup_hits_total` — windows served by a
-    /// clone of an identical earlier window.
-    dedup_hits: Arc<Counter>,
     /// `matador_compile_partitions_total` — parts produced by the
     /// partitioner.
     partitions: Arc<Counter>,
@@ -119,26 +77,6 @@ fn compile_metrics() -> &'static CompileMetrics {
     METRICS.get_or_init(|| {
         let registry = Registry::global();
         CompileMetrics {
-            runs: registry.counter(
-                "matador_compile_runs_total",
-                "",
-                "Compile-pipeline runs (one per design compilation).",
-            ),
-            tape_before: registry.counter(
-                "matador_compile_tape_instructions_total",
-                "stage=\"before\"",
-                "Tape instructions entering / leaving the optimization passes.",
-            ),
-            tape_after: registry.counter(
-                "matador_compile_tape_instructions_total",
-                "stage=\"after\"",
-                "Tape instructions entering / leaving the optimization passes.",
-            ),
-            dedup_hits: registry.counter(
-                "matador_compile_cse_dedup_hits_total",
-                "",
-                "Windows compiled as clones of an identical earlier window.",
-            ),
             partitions: registry.counter(
                 "matador_compile_partitions_total",
                 "",
@@ -153,13 +91,9 @@ fn compile_metrics() -> &'static CompileMetrics {
     })
 }
 
-/// Which passes the pipeline runs, each individually toggleable.
+/// How [`CompilePipeline::partition`] cuts a design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Run cross-window CSE / tape dedup (pass 2).
-    pub cse: bool,
-    /// Run locality scheduling (pass 3).
-    pub schedule: bool,
     /// How many sub-programs [`CompilePipeline::partition`] splits a
     /// design into (clamped to the design's vote-pair count; `1` means
     /// no partitioning).
@@ -167,124 +101,31 @@ pub struct CompileOptions {
 }
 
 impl Default for CompileOptions {
-    /// Everything on, no partitioning — what
-    /// [`TurboProgram::compile`] runs.
+    /// No partitioning.
     fn default() -> Self {
-        CompileOptions {
-            cse: true,
-            schedule: true,
-            partitions: 1,
-        }
+        CompileOptions { partitions: 1 }
     }
 }
 
 impl CompileOptions {
-    /// The raw monolithic flatten: every optimization pass off. This is
-    /// the behavior baseline the pipeline is equivalence-tested against.
-    pub fn none() -> Self {
-        CompileOptions {
-            cse: false,
-            schedule: false,
-            partitions: 1,
-        }
-    }
-
     /// Returns the options with the partition count set.
     #[must_use]
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
         self
     }
-
-    /// Returns the options with the CSE pass toggled.
-    #[must_use]
-    pub fn with_cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
-        self
-    }
-
-    /// Returns the options with the scheduling pass toggled.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: bool) -> Self {
-        self.schedule = schedule;
-        self
-    }
 }
 
-/// Per-pass statistics for one pipeline run; also accumulated into the
-/// `matador_compile_*` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassStats {
-    /// Tape instructions across all windows after lowering, before any
-    /// optimization pass.
-    pub tape_before: usize,
-    /// Tape instructions after every enabled pass ran.
-    pub tape_after: usize,
-    /// Windows replaced by clones of identical earlier windows (0 when
-    /// CSE is off).
-    pub cse_dedup_hits: usize,
-    /// Summed `And` use-to-def slot distance entering the scheduler
-    /// (0 when scheduling is off).
-    pub schedule_distance_before: u64,
-    /// The same sum after rescheduling (0 when scheduling is off).
-    pub schedule_distance_after: u64,
-}
-
-/// A compiled program plus the per-pass stats of the run that built it.
+/// The design partitioner. See the [module docs](self) for an example.
 #[derive(Debug, Clone)]
-pub struct Compiled {
-    /// The executable turbo program.
-    pub program: TurboProgram,
-    /// What each pass did.
-    pub stats: PassStats,
-}
-
-/// The ordered pass pipeline. See the [module docs](self) for the pass
-/// list and an example.
-#[derive(Debug, Clone, Default)]
 pub struct CompilePipeline {
     options: CompileOptions,
 }
 
 impl CompilePipeline {
-    /// A pipeline running the given passes.
+    /// A partitioner cutting designs as `options` says.
     pub fn new(options: CompileOptions) -> Self {
         CompilePipeline { options }
-    }
-
-    /// The configured pass toggles.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
-    }
-
-    /// Runs lower → CSE → schedule over every window of `accel` and
-    /// packages the result as an executable [`TurboProgram`].
-    pub fn compile(&self, accel: &CompiledAccelerator) -> Compiled {
-        let shape = *accel.shape();
-        let mut windows: Vec<WindowProgram> =
-            accel.windows().iter().map(WindowProgram::lower).collect();
-        let mut stats = PassStats {
-            tape_before: tape_len(&windows),
-            ..PassStats::default()
-        };
-        if self.options.cse {
-            stats.cse_dedup_hits = cse::run(&mut windows).dedup_hits;
-        }
-        if self.options.schedule {
-            let outcome = schedule::run(&mut windows);
-            stats.schedule_distance_before = outcome.distance_before;
-            stats.schedule_distance_after = outcome.distance_after;
-        }
-        stats.tape_after = tape_len(&windows);
-        let metrics = compile_metrics();
-        metrics.runs.inc();
-        metrics.tape_before.add(stats.tape_before as u64);
-        metrics.tape_after.add(stats.tape_after as u64);
-        metrics.dedup_hits.add(stats.cse_dedup_hits as u64);
-        Compiled {
-            program: TurboProgram::from_tapes(shape, windows),
-            stats,
-        }
     }
 
     /// Splits `accel` into [`CompileOptions::partitions`] standalone
@@ -298,14 +139,12 @@ impl CompilePipeline {
     }
 }
 
-fn tape_len(windows: &[WindowProgram]) -> usize {
-    windows.iter().map(|w| w.ops.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accel::AccelShape;
+    use crate::turbo::TurboProgram;
+    use ir::{Op, WindowProgram};
     use matador_logic::cube::{Cube, Lit};
     use matador_logic::dag::Sharing;
     use tsetlin::bits::BitVec;
@@ -327,7 +166,6 @@ mod tests {
             Cube::from_lits([Lit::neg(3)]),
             Cube::one(),
         ];
-        // Identical to w0: the cross-window dedup target.
         let w1 = w0.clone();
         CompiledAccelerator::from_window_cubes(shape, &[w0, w1], sharing)
     }
@@ -338,53 +176,55 @@ mod tests {
             .collect()
     }
 
+    /// Lowers every window of `a` and checks the compiled program
+    /// against the reference evaluator; returns the tapes.
+    fn lowered_and_checked(a: &CompiledAccelerator) -> Vec<WindowProgram> {
+        let program = TurboProgram::compile(a);
+        let xs = batch(200);
+        for (x, sums) in xs.iter().zip(program.class_sums(&xs)) {
+            assert_eq!(sums, a.reference_class_sums(x));
+        }
+        a.windows().iter().map(WindowProgram::lower).collect()
+    }
+
+    fn count(tape: &WindowProgram, op: Op) -> usize {
+        tape.ops.iter().filter(|&&o| o == op).count()
+    }
+
     #[test]
-    fn every_pass_combination_is_bit_identical() {
+    fn lowering_drops_constants_no_output_reads() {
+        let shape = AccelShape {
+            bus_width: 4,
+            features: 8,
+            classes: 2,
+            clauses_per_class: 2,
+        };
+        let window = |base: u32| {
+            vec![
+                Cube::from_lits([Lit::pos(base), Lit::neg(base + 1)]),
+                Cube::from_lits([Lit::pos(base + 2)]),
+                Cube::from_lits([Lit::neg(base + 3)]),
+                Cube::from_lits([Lit::pos(base), Lit::pos(base + 3)]),
+            ]
+        };
         for sharing in [Sharing::Enabled, Sharing::DontTouch] {
-            let a = accel(sharing);
-            let baseline = CompilePipeline::new(CompileOptions::none()).compile(&a);
-            let xs = batch(200);
-            let expected = baseline.program.class_sums(&xs);
-            for (x, sums) in xs.iter().zip(&expected) {
-                assert_eq!(sums, &a.reference_class_sums(x));
-            }
-            for cse in [false, true] {
-                for schedule in [false, true] {
-                    let opts = CompileOptions {
-                        cse,
-                        schedule,
-                        partitions: 1,
-                    };
-                    let compiled = CompilePipeline::new(opts).compile(&a);
-                    assert_eq!(
-                        compiled.program.class_sums(&xs),
-                        expected,
-                        "sharing={sharing:?} cse={cse} schedule={schedule}"
-                    );
-                }
+            let a = CompiledAccelerator::from_window_cubes(shape, &[window(0), window(0)], sharing);
+            for tape in lowered_and_checked(&a) {
+                assert_eq!(count(&tape, Op::Const0), 0, "sharing={sharing:?}");
+                assert_eq!(count(&tape, Op::Const1), 0, "sharing={sharing:?}");
             }
         }
     }
 
     #[test]
-    fn cse_shrinks_tapes_and_dedups_identical_windows() {
-        let a = accel(Sharing::DontTouch);
-        let compiled =
-            CompilePipeline::new(CompileOptions::default().with_schedule(false)).compile(&a);
-        assert!(
-            compiled.stats.tape_after < compiled.stats.tape_before,
-            "CSE must shrink: {:?}",
-            compiled.stats
-        );
-        // The two windows lower to identical tapes.
-        assert_eq!(compiled.stats.cse_dedup_hits, 1);
-    }
-
-    #[test]
-    fn scheduling_never_increases_operand_distance() {
-        let a = accel(Sharing::Enabled);
-        let compiled = CompilePipeline::default().compile(&a);
-        assert!(compiled.stats.schedule_distance_after <= compiled.stats.schedule_distance_before);
+    fn lowering_keeps_one_const1_for_empty_clauses() {
+        for sharing in [Sharing::Enabled, Sharing::DontTouch] {
+            // Every window holds several empty cubes (constant-1 clauses).
+            for tape in lowered_and_checked(&accel(sharing)) {
+                assert_eq!(count(&tape, Op::Const1), 1, "sharing={sharing:?}");
+                assert_eq!(count(&tape, Op::Const0), 0, "sharing={sharing:?}");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod engine;
 pub mod turbo;
 
 pub use accel::{AccelShape, CompiledAccelerator, WindowScratch};
-pub use compile::{CompileOptions, CompilePipeline, Compiled, PartitionPlan, PassStats};
+pub use compile::{CompileOptions, CompilePipeline, PartitionPlan};
 pub use engine::{CycleTrace, LatencyReport, SimEngine, SimError, SimResult};
 pub use turbo::{
     configured_chunk_threshold, EngineBackend, TurboEngine, TurboProgram, BLOCK_LANES, BLOCK_WORDS,

@@ -316,21 +316,15 @@ pub struct TurboProgram {
 }
 
 impl TurboProgram {
-    /// Compiles `accel` through the default
-    /// [`CompilePipeline`](crate::compile::CompilePipeline) (CSE +
-    /// scheduling, no partitioning) — the convenience entry point.
-    /// Callers needing pass toggles, per-pass stats or the design
-    /// partitioner use the pipeline directly.
+    /// Compiles `accel`: lowers every window DAG to a tape (see
+    /// [`crate::compile`]) and packages the tapes as one program. To
+    /// serve a design as K cooperating parts, cut it first with
+    /// [`CompilePipeline::partition`](crate::compile::CompilePipeline::partition)
+    /// and compile each part.
     pub fn compile(accel: &CompiledAccelerator) -> Self {
-        crate::compile::CompilePipeline::default()
-            .compile(accel)
-            .program
-    }
-
-    /// Packages already-lowered (and possibly optimized) window tapes
-    /// into an executable program: precomputes the per-class vote masks
-    /// and the cost-model bookkeeping. The pipeline's exit point.
-    pub(crate) fn from_tapes(shape: AccelShape, windows: Vec<WindowProgram>) -> Self {
+        let shape = *accel.shape();
+        let windows: Vec<WindowProgram> =
+            accel.windows().iter().map(WindowProgram::lower).collect();
         let max_slots = windows.iter().map(|w| w.ops.len()).max().unwrap_or(0);
         let tape_len = windows.iter().map(|w| w.ops.len()).sum();
         let c = shape.total_clauses();

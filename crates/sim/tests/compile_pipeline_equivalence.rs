@@ -1,11 +1,12 @@
-//! The compile pipeline is semantics-free: for random designs (bus
-//! widths 4–64, ragged last windows, both sharing modes) every pass
-//! combination — CSE on/off × scheduling on/off × partitions 1/2/4 —
-//! must yield bit-identical winners, class sums **and** cycle stamps
-//! vs the raw monolithic flatten (`CompileOptions::none()`).
+//! Partitioning is semantics-free: for random designs (bus widths
+//! 4–64, ragged last windows, both sharing modes) a design cut into
+//! 1, 2 or 4 parts must yield bit-identical winners, class sums **and**
+//! cycle stamps vs the monolithic program (`TurboProgram::compile`).
 
 use matador_logic::dag::Sharing;
-use matador_sim::{AccelShape, CompileOptions, CompilePipeline, CompiledAccelerator, TurboEngine};
+use matador_sim::{
+    AccelShape, CompileOptions, CompilePipeline, CompiledAccelerator, TurboEngine, TurboProgram,
+};
 use proptest::prelude::*;
 use tsetlin::bits::BitVec;
 use tsetlin::model::{IncludeMask, TrainedModel};
@@ -72,7 +73,7 @@ fn inputs_from_seeds(features: usize, seeds: &[u64]) -> Vec<BitVec> {
 /// Runs a compiled program as an engine over `xs` and returns
 /// (winner, cycle stamp, class sums) per datapoint.
 fn run_engine(
-    program: matador_sim::TurboProgram,
+    program: TurboProgram,
     xs: &[BitVec],
     pipelined: bool,
 ) -> Vec<(usize, u64, Vec<i32>)> {
@@ -90,31 +91,6 @@ fn run_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CSE × scheduling: any toggle combination reproduces the raw
-    /// flatten's winners, sums and stamps bit for bit.
-    #[test]
-    fn pass_toggles_are_bit_identical(
-        (model, bus) in arb_model_and_bus(),
-        seeds in proptest::collection::vec(any::<u64>(), 1..80),
-        pipelined in any::<bool>(),
-        dont_touch in any::<bool>(),
-    ) {
-        let sharing = if dont_touch { Sharing::DontTouch } else { Sharing::Enabled };
-        let accel = compile(&model, bus, sharing);
-        let xs = inputs_from_seeds(model.num_features(), &seeds);
-        let baseline = CompilePipeline::new(CompileOptions::none()).compile(&accel);
-        let expected = run_engine(baseline.program, &xs, pipelined);
-        for cse in [false, true] {
-            for schedule in [false, true] {
-                let opts = CompileOptions { cse, schedule, partitions: 1 };
-                let compiled = CompilePipeline::new(opts).compile(&accel);
-                prop_assert!(compiled.stats.tape_after <= compiled.stats.tape_before);
-                let got = run_engine(compiled.program, &xs, pipelined);
-                prop_assert_eq!(&got, &expected, "cse={} schedule={}", cse, schedule);
-            }
-        }
-    }
-
     /// Partitions 1/2/4: member class sums add back to the monolithic
     /// sums, merged winners match, and every member's cycle stamps are
     /// identical to the monolithic engine's.
@@ -128,8 +104,7 @@ proptest! {
         let sharing = if dont_touch { Sharing::DontTouch } else { Sharing::Enabled };
         let accel = compile(&model, bus, sharing);
         let xs = inputs_from_seeds(model.num_features(), &seeds);
-        let baseline = CompilePipeline::new(CompileOptions::none()).compile(&accel);
-        let expected = run_engine(baseline.program, &xs, pipelined);
+        let expected = run_engine(TurboProgram::compile(&accel), &xs, pipelined);
         for k in [1usize, 2, 4] {
             let pipeline = CompilePipeline::new(CompileOptions::default().with_partitions(k));
             let plan = pipeline.partition(&accel);
@@ -138,7 +113,7 @@ proptest! {
             let members: Vec<Vec<(usize, u64, Vec<i32>)>> = plan
                 .parts()
                 .iter()
-                .map(|part| run_engine(pipeline.compile(part).program, &xs, pipelined))
+                .map(|part| run_engine(TurboProgram::compile(part), &xs, pipelined))
                 .collect();
             for (i, exp) in expected.iter().enumerate() {
                 let member_sums: Vec<Vec<i32>> =

@@ -17,12 +17,24 @@
 //! ```
 //!
 //! Clause lines may be omitted for empty clauses; `pos -` / `neg -` denote
-//! empty literal lists.
+//! empty literal lists. A header may declare at most [`MAX_MASK_BITS`] of
+//! include-mask storage, so a short file cannot make the reader allocate
+//! without bound.
 
 use crate::bits::BitVec;
 use crate::model::{IncludeMask, TrainedModel};
 use std::fmt;
 use std::io::{BufRead, Write};
+
+/// The format's size limit: the include-mask storage a header may
+/// declare, in bits. Each of a model's `classes × clauses_per_class`
+/// clauses holds a positive and a negative mask of `features` bits, each
+/// rounded up to whole 64-bit words as [`BitVec`] stores them. 2^30 bits
+/// (128 MiB of mask words) is far above any model the toolflow trains —
+/// the paper's largest, FMNIST with 500 clauses per class, needs about
+/// 8·10^6 — and caps what a few header lines can make the reader
+/// allocate.
+pub const MAX_MASK_BITS: u64 = 1 << 30;
 
 /// Error produced when parsing a model file fails.
 #[derive(Debug)]
@@ -62,6 +74,16 @@ pub enum ParseModelErrorKind {
     },
     /// A header dimension was zero.
     ZeroDimensions,
+    /// The header declares more include-mask storage than
+    /// [`MAX_MASK_BITS`], or so much that computing it overflows.
+    ModelTooLarge {
+        /// Declared feature count.
+        features: usize,
+        /// Declared class count.
+        classes: usize,
+        /// Declared clauses per class.
+        clauses_per_class: usize,
+    },
     /// A non-header line did not start with `c`.
     ExpectedClauseLine,
     /// Clause coordinates exceeded the declared model shape.
@@ -125,6 +147,15 @@ impl fmt::Display for ParseModelError {
                 write!(f, "expected '{keyword}'")
             }
             ParseModelErrorKind::ZeroDimensions => write!(f, "zero-sized model dimensions"),
+            ParseModelErrorKind::ModelTooLarge {
+                features,
+                classes,
+                clauses_per_class,
+            } => write!(
+                f,
+                "model of {features} features × {classes} classes × {clauses_per_class} \
+                 clauses exceeds the {MAX_MASK_BITS}-bit mask limit"
+            ),
             ParseModelErrorKind::ExpectedClauseLine => {
                 write!(f, "expected clause line starting with 'c'")
             }
@@ -206,8 +237,9 @@ fn write_indices<W: Write>(w: &mut W, bits: &BitVec) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseModelError`] on malformed headers, out-of-range indices,
-/// duplicate clause lines or a missing `end` marker.
+/// Returns [`ParseModelError`] on malformed headers, a model larger than
+/// [`MAX_MASK_BITS`], out-of-range indices, duplicate clause lines or a
+/// missing `end` marker.
 pub fn read_model<R: BufRead>(r: R) -> Result<TrainedModel, ParseModelError> {
     let mut lines = r.lines().enumerate();
     let mut next_line = |expect: &str| -> Result<(usize, String), ParseModelError> {
@@ -233,6 +265,16 @@ pub fn read_model<R: BufRead>(r: R) -> Result<TrainedModel, ParseModelError> {
         parse_header_line(next_line("clauses_per_class")?, "clauses_per_class")?;
     if features == 0 || classes == 0 || clauses_per_class == 0 {
         return Err(ParseModelError::new(0, ParseModelErrorKind::ZeroDimensions));
+    }
+    if !within_mask_limit(features, classes, clauses_per_class) {
+        return Err(ParseModelError::new(
+            0,
+            ParseModelErrorKind::ModelTooLarge {
+                features,
+                classes,
+                clauses_per_class,
+            },
+        ));
     }
 
     let mut masks = vec![IncludeMask::empty(features); classes * clauses_per_class];
@@ -287,6 +329,18 @@ pub fn read_model<R: BufRead>(r: R) -> Result<TrainedModel, ParseModelError> {
         clauses_per_class,
         masks,
     ))
+}
+
+/// Whether a model of these dimensions fits [`MAX_MASK_BITS`]; false
+/// also when computing its storage overflows.
+fn within_mask_limit(features: usize, classes: usize, clauses_per_class: usize) -> bool {
+    let mask_bits = features.checked_next_multiple_of(64).and_then(|width| {
+        width
+            .checked_mul(classes)?
+            .checked_mul(clauses_per_class)?
+            .checked_mul(2)
+    });
+    mask_bits.is_some_and(|bits| bits as u64 <= MAX_MASK_BITS)
 }
 
 fn parse_header_line((ln, line): (usize, String), key: &str) -> Result<usize, ParseModelError> {
@@ -460,6 +514,42 @@ mod tests {
         let text = "MATADOR-TM v1\nfeatures 4\nclasses 2\nclauses_per_class 2\n\n# external trainer note\nc 1 1 pos 0 neg 3\nend\n";
         let model = read_model(text.as_bytes()).expect("parse");
         assert_eq!(model.clause(1, 1).num_includes(), 2);
+    }
+
+    fn header(features: &str, classes: &str, clauses_per_class: &str) -> String {
+        format!(
+            "MATADOR-TM v1\nfeatures {features}\nclasses {classes}\n\
+             clauses_per_class {clauses_per_class}\nend\n"
+        )
+    }
+
+    fn assert_too_large(text: &str) {
+        let err = read_model(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err.kind(), ParseModelErrorKind::ModelTooLarge { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_dimensions_whose_product_overflows() {
+        assert_too_large(&header("1", "4294967296", "4294967296"));
+    }
+
+    #[test]
+    fn rejects_a_feature_count_too_large_to_allocate() {
+        assert_too_large(&header("18446744073709551615", "1", "1"));
+    }
+
+    #[test]
+    fn mask_limit_counts_whole_words() {
+        // One-feature clauses take 2 × 64 bits: 2^23 of them fill the limit.
+        let at_limit = 1usize << 23;
+        assert!(within_mask_limit(1, 1, at_limit));
+        assert!(within_mask_limit(64, 2, at_limit / 2));
+        assert!(!within_mask_limit(1, 1, at_limit + 1));
+        assert!(!within_mask_limit(65, 1, at_limit / 2 + 1));
+        assert!(!within_mask_limit(usize::MAX, 1, 1));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property-based tests of the tsetlin crate's foundational invariants:
-//! bit-vector algebra, automaton state bounds, clause/mask consistency and
-//! model voting arithmetic.
+//! bit-vector algebra, automaton state bounds, clause/mask consistency,
+//! model voting arithmetic, and a model-file reader that never panics.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tsetlin::bits::BitVec;
-use tsetlin::{Action, Clause, TsetlinAutomaton};
+use tsetlin::io::{read_model, write_model};
+use tsetlin::{Action, Clause, IncludeMask, TrainedModel, TsetlinAutomaton};
 
 fn arb_bits(max_len: usize) -> impl Strategy<Value = BitVec> {
     (1..=max_len).prop_flat_map(|len| {
@@ -14,8 +15,91 @@ fn arb_bits(max_len: usize) -> impl Strategy<Value = BitVec> {
     })
 }
 
+/// A small model with random, disjoint include masks (some clauses empty).
+fn arb_model() -> impl Strategy<Value = TrainedModel> {
+    (1usize..=20, 1usize..=4, 1usize..=6).prop_flat_map(|(features, classes, cpc)| {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<bool>(), features),
+                proptest::collection::vec(any::<bool>(), features),
+            ),
+            classes * cpc,
+        )
+        .prop_map(move |masks| {
+            let includes = masks
+                .into_iter()
+                .map(|(pos, neg)| {
+                    let pos = BitVec::from_bools(pos);
+                    let neg = BitVec::from_bools(neg).and(&pos.not());
+                    IncludeMask { pos, neg }
+                })
+                .collect();
+            TrainedModel::from_masks(features, classes, cpc, includes)
+        })
+    })
+}
+
+fn model_file(model: &TrainedModel) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_model(model, &mut buf).expect("writing to a Vec cannot fail");
+    buf
+}
+
+/// Parses `bytes`; a failure must be a typed error that displays. Any
+/// panic fails the calling property.
+fn parse_never_panics(bytes: &[u8]) -> Option<TrainedModel> {
+    read_model(bytes)
+        .map_err(|err| assert!(!err.to_string().is_empty()))
+        .ok()
+}
+
+/// Bytes a mutation writes: half the time one of the format's own
+/// characters, so mutants reach past the header more often.
+fn mutation_byte(from_format: bool, byte: u8) -> u8 {
+    const FORMAT: &[u8] = b"0123456789 ,-\nc";
+    if from_format {
+        FORMAT[byte as usize % FORMAT.len()]
+    } else {
+        byte
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn read_model_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        with_magic in any::<bool>(),
+    ) {
+        let mut input = if with_magic { b"MATADOR-TM v1\n".to_vec() } else { Vec::new() };
+        input.extend_from_slice(&bytes);
+        parse_never_panics(&input);
+    }
+
+    /// A written file reads back to the same model, and every
+    /// single-byte replacement, insertion and truncation of it parses or
+    /// fails with a typed error, never a panic.
+    #[test]
+    fn read_model_never_panics_on_mutated_files(
+        model in arb_model(),
+        (from_format, byte) in (any::<bool>(), any::<u8>()),
+    ) {
+        let file = model_file(&model);
+        prop_assert_eq!(parse_never_panics(&file), Some(model));
+        let byte = mutation_byte(from_format, byte);
+        for at in 0..=file.len() {
+            let mut mutant = file.clone();
+            mutant.insert(at, byte);
+            parse_never_panics(&mutant);
+            parse_never_panics(&file[..at]);
+            if at < file.len() {
+                let mut mutant = file.clone();
+                mutant[at] = byte;
+                parse_never_panics(&mutant);
+            }
+        }
+    }
 
     #[test]
     fn bitvec_double_complement_is_identity(v in arb_bits(200)) {

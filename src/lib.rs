@@ -17,16 +17,14 @@ pub use matador_par as par;
 pub use matador_rtl as rtl;
 pub use matador_serve as serve;
 pub use matador_sim as sim;
-/// The compiler pipeline's surface, lifted to the facade root: compile a
-/// design through explicit, toggleable passes
-/// ([`CompileOptions`] → [`CompilePipeline`] → [`Compiled`] +
-/// [`PassStats`]), or cut it into cooperating sub-programs with
-/// [`CompilePipeline::partition`] ([`PartitionPlan`]).
+/// The design partitioner, lifted to the facade root: cut a design into
+/// cooperating sub-programs with [`CompilePipeline::partition`]
+/// ([`CompileOptions`] → [`CompilePipeline`] → [`PartitionPlan`]).
 ///
 /// ```
 /// use matador_repro::logic::cube::{Cube, Lit};
 /// use matador_repro::logic::dag::Sharing;
-/// use matador_repro::sim::{AccelShape, CompiledAccelerator};
+/// use matador_repro::sim::{AccelShape, CompiledAccelerator, TurboProgram};
 /// use matador_repro::{CompileOptions, CompilePipeline};
 ///
 /// let shape = AccelShape { bus_width: 4, features: 4, classes: 2, clauses_per_class: 4 };
@@ -38,17 +36,15 @@ pub use matador_sim as sim;
 /// ]];
 /// let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
 ///
-/// // The default pipeline: parse/lower, cross-window CSE, scheduling.
-/// let compiled = CompilePipeline::new(CompileOptions::default()).compile(&accel);
-/// assert!(compiled.stats.tape_after <= compiled.stats.tape_before);
+/// // Compiling lowers each window DAG to a tape for the turbo backend.
+/// let program = TurboProgram::compile(&accel);
+/// assert!(program.chunk_cost() > 0);
 ///
 /// // The partitioner: the same design as two merge-summed sub-programs.
 /// let plan = CompilePipeline::new(CompileOptions::default().with_partitions(2))
 ///     .partition(&accel);
 /// assert_eq!(plan.len(), 2);
 /// ```
-pub use matador_sim::compile::{
-    CompileOptions, CompilePipeline, Compiled, PartitionPlan, PassStats,
-};
+pub use matador_sim::compile::{CompileOptions, CompilePipeline, PartitionPlan};
 pub use matador_synth as synth;
 pub use tsetlin;
