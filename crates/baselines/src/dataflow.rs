@@ -140,9 +140,9 @@ impl DataflowDesign {
 
     /// Resource estimate of the folded design.
     ///
-    /// Constants (documented in `EXPERIMENTS.md`): a W×A-bit MAC lane
-    /// costs `wb·ab + 1` LUTs; each PE carries an accumulator/threshold
-    /// unit; each layer a stream/control harness; the design AXI/DMA glue.
+    /// Constants: a W×A-bit MAC lane costs `wb·ab + 1` LUTs; each PE
+    /// carries an accumulator/threshold unit; each layer a stream/control
+    /// harness; the design AXI/DMA glue.
     /// Weight memory: 4096 useful bits per 36Kb BRAM (FINN per-PE
     /// fragmentation); thresholds live in LUTRAM.
     pub fn resources(&self) -> ResourceReport {

@@ -1,6 +1,7 @@
 //! Scratch calibration probe for baseline BNN training (not part of the
-//! published harness; kept for reproducing the calibration in
-//! EXPERIMENTS.md).
+//! published harness): prints the float and quantized test accuracy of
+//! four FINN topologies over a small grid of float fraction, learning
+//! rate and epochs.
 
 use matador_baselines::bnn::{QuantMlp, TrainConfig};
 use matador_baselines::presets::BaselineKind;

@@ -35,8 +35,9 @@
 //!   within `X`× the fault-free p99.9: losing 1-of-N shards costs
 //!   bounded tail, not a meltdown.
 
-use matador_bench::eval::{bad_arg, model_key_for, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, train_spec, EvalOptions};
+use matador_bench::{write_metrics_snapshot, BenchArtifact};
 use matador_datasets::{generate, DatasetKind};
 use matador_obs::Registry;
 use matador_serve::{FaultPlan, Front, FrontOptions, Reply, ServeOptions, ShardPool};
@@ -330,12 +331,12 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[chaos_bench] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let config = matador::config::MatadorConfig::builder()
         .design_name("chaos_bench")
         .build()
         .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
+    let design = AcceleratorDesign::generate_with_threads(model, config, threads);
     let accel = design.compile_for_sim();
     let inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
 

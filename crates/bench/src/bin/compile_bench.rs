@@ -2,11 +2,10 @@
 //! partition group must reproduce the monolithic pool's winners bit for
 //! bit, with a machine-readable artifact.
 //!
-//! One KWS-6 model is trained (or cache-loaded) and its accelerator
-//! generated (or cache-loaded). The partitioner then cuts the design
-//! into each requested K, and a K-shard partition-group pool serves the
-//! same batch as a one-shard monolithic pool (always asserted; a
-//! mismatch exits non-zero).
+//! One KWS-6 model is trained and its accelerator generated. The
+//! partitioner then cuts the design into each requested K, and a K-shard
+//! partition-group pool serves the same batch as a one-shard monolithic
+//! pool (always asserted; a mismatch exits non-zero).
 //!
 //! ```text
 //! cargo run -p matador-bench --bin compile_bench --release -- \
@@ -18,8 +17,9 @@
 //! monolithic tape size and one row per partition count: parts, cut
 //! cost and whether the winners matched.
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, parse_positive_list, train_spec, EvalOptions};
+use matador_bench::BenchArtifact;
 use matador_datasets::{generate, DatasetKind};
 use matador_serve::{EngineBackend, ServeOptions, ShardPool, ShardSpec};
 use matador_sim::{CompileOptions, CompilePipeline, TurboProgram};
@@ -98,12 +98,12 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[compile_bench] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let config = matador::config::MatadorConfig::builder()
         .design_name("compile_bench")
         .build()
         .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
+    let design = AcceleratorDesign::generate_with_threads(model, config, threads);
     let accel = design.compile_for_sim();
     let batch: Vec<BitVec> = (0..args.batch)
         .map(|i| data.test[i % data.test.len()].input.clone())

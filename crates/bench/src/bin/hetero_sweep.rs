@@ -2,8 +2,7 @@
 //! widths behind one shard pool, under both blind and latency-aware
 //! dispatch.
 //!
-//! Trains (or cache-loads) one KWS-6 model, then generates — or
-//! cache-loads, via [`DesignCache`] — *two* accelerators for it: a
+//! Trains one KWS-6 model, then generates *two* accelerators for it: a
 //! wide-bus design (few packets per datapoint, low II) and a narrow-bus
 //! design (many packets, high II). Both sit behind a single
 //! [`ShardPool`] as one [`ShardSpec`] each — the mixed-fleet scenario
@@ -26,8 +25,9 @@
 //! `--json <path>` writes the sweep as a machine-readable artifact in the
 //! same shape as `BENCH_inference.json`.
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, parse_positive_list, train_spec, EvalOptions};
+use matador_bench::BenchArtifact;
 use matador_datasets::{generate, DatasetKind};
 use matador_serve::{DispatchPolicy, ServeOptions, ShardPool, ShardSpec, ThroughputReport};
 use tsetlin::bits::BitVec;
@@ -172,14 +172,14 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[hetero_sweep] {kind}: training model + generating two designs…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let design_for = |bus_width: usize, name: &str| {
         let config = matador::config::MatadorConfig::builder()
             .design_name(name)
             .bus_width(bus_width)
             .build()
             .expect("bus widths 1..=64 are valid");
-        DesignCache::global().generate_cached(&model, &config, threads)
+        AcceleratorDesign::generate_with_threads(model.clone(), config, threads)
     };
     let wide = design_for(WIDE_BUS, "hetero_wide");
     let narrow = design_for(NARROW_BUS, "hetero_narrow");
@@ -200,13 +200,7 @@ fn run() -> Result<bool, matador::Error> {
         specs[1].beats_per_request(),
         opts.seed
     );
-    println!(
-        "(mixed pool, per-design merged reports; model cache {}h/{}m, design cache {}h/{}m)\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses(),
-        DesignCache::global().hits(),
-        DesignCache::global().misses()
-    );
+    println!("(mixed pool, per-design merged reports)\n");
 
     let policies = [DispatchPolicy::RoundRobin, DispatchPolicy::LatencyAware];
     let gate_batch = *args.batches.iter().max().expect("non-empty");

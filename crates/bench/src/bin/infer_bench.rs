@@ -4,15 +4,14 @@
 //! Where `serve_sweep` reports *simulated* (in-cycle) throughput, this
 //! harness measures what the serving process itself achieves — wall-clock
 //! inferences/second on the host — which is what the bit-sliced turbo
-//! backend exists to multiply. One KWS-6 model is trained (or
-//! cache-loaded), its accelerator generated (or cache-loaded), and every
-//! `backend × shard-count` cell serves the same batch on a warmed pool;
-//! the cell reports the best of several timed repeats, and each repeat
-//! loops enough serves to cover at least 50 ms of wall-clock (recorded
-//! as `iters_per_repeat` in the artifact) — a single sub-millisecond
-//! turbo serve is timer-quantization noise, and the best-of floor over
-//! ≥50 ms windows is the stable statistic. Winners are asserted
-//! bit-identical across all cells on every run.
+//! backend exists to multiply. One KWS-6 model is trained, its
+//! accelerator generated, and every `backend × shard-count` cell serves
+//! the same batch on a warmed pool; the cell reports the best of several
+//! timed repeats, and each repeat loops enough serves to cover at least
+//! 50 ms of wall-clock (recorded as `iters_per_repeat` in the artifact)
+//! — a single sub-millisecond turbo serve is timer-quantization noise,
+//! and the best-of floor over ≥50 ms windows is the stable statistic.
+//! Winners are asserted bit-identical across all cells on every run.
 //!
 //! ```text
 //! cargo run -p matador-bench --bin infer_bench --release -- \
@@ -41,8 +40,9 @@
 //! fast path. `--metrics-out PATH` dumps the registry after the run
 //! (JSON at `PATH`, Prometheus text at the `.prom` sibling).
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, parse_positive_list, train_spec, EvalOptions};
+use matador_bench::{write_metrics_snapshot, BenchArtifact};
 use matador_datasets::{generate, DatasetKind};
 use matador_serve::{EngineBackend, ServeOptions, ShardPool};
 use matador_sim::CompiledAccelerator;
@@ -250,12 +250,12 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[infer_bench] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let config = matador::config::MatadorConfig::builder()
         .design_name("infer_bench")
         .build()
         .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
+    let design = AcceleratorDesign::generate_with_threads(model, config, threads);
     let accel = design.compile_for_sim();
     let batch: Vec<BitVec> = (0..args.batch)
         .map(|i| data.test[i % data.test.len()].input.clone())
@@ -271,13 +271,7 @@ fn run() -> Result<bool, matador::Error> {
         chunk_threshold,
         args.repeats
     );
-    println!(
-        "(host wall-clock inf/s; model cache {}h/{}m, design cache {}h/{}m)\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses(),
-        DesignCache::global().hits(),
-        DesignCache::global().misses()
-    );
+    println!("(host wall-clock inf/s)\n");
 
     let mut cells: Vec<Cell> = Vec::new();
     for backend in [EngineBackend::CycleAccurate, EngineBackend::Turbo] {

@@ -32,8 +32,9 @@
 //! that catches coalescer regressions (a lost flush trigger shows up as
 //! an unbounded tail long before it dents the mean).
 
-use matador_bench::eval::{bad_arg, model_key_for, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, train_spec, EvalOptions};
+use matador_bench::{write_metrics_snapshot, BenchArtifact};
 use matador_datasets::{generate, DatasetKind};
 use matador_obs::Registry;
 use matador_serve::{
@@ -298,12 +299,12 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[loadgen] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let config = matador::config::MatadorConfig::builder()
         .design_name("loadgen")
         .build()
         .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
+    let design = AcceleratorDesign::generate_with_threads(model, config, threads);
     let accel = design.compile_for_sim();
     let inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
 

@@ -1,10 +1,10 @@
 //! Sharded-serving scaling sweep: shards × batch sizes over one compiled
 //! design, through the `matador-serve` runtime.
 //!
-//! Trains (or cache-loads) one KWS-6 model, generates the accelerator
-//! once, then serves every batch size on pools of every shard count,
-//! printing a scaling table of pool cycles, aggregate inf/s at the
-//! implemented clock, and latency percentiles. Predictions are asserted
+//! Trains one KWS-6 model, generates the accelerator once, then serves
+//! every batch size on pools of every shard count, printing a scaling
+//! table of pool cycles, aggregate inf/s at the implemented clock, and
+//! latency percentiles. Predictions are asserted
 //! bit-identical across shard counts on every run — sharding is a pure
 //! throughput knob.
 //!
@@ -22,8 +22,9 @@
 //! metrics registry after the sweep: JSON at `PATH`, Prometheus text at
 //! the `.prom` sibling.
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
+use matador::design::AcceleratorDesign;
+use matador_bench::eval::{bad_arg, parse_positive_list, train_spec, EvalOptions};
+use matador_bench::{write_metrics_snapshot, BenchArtifact};
 use matador_datasets::{generate, DatasetKind};
 use matador_serve::{DispatchPolicy, ServeOptions, ShardPool};
 use matador_sim::CompiledAccelerator;
@@ -123,17 +124,13 @@ fn run() -> Result<bool, matador::Error> {
 
     eprintln!("[serve_sweep] {kind}: training model + generating accelerator…");
     let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(
-        &model_key_for(kind, opts),
-        &data.train,
-        matador_par::configured_threads(),
-    );
+    let threads = matador_par::configured_threads();
+    let model = train_spec(kind, opts).fit(&data.train, threads);
     let config = matador::config::MatadorConfig::builder()
         .design_name("serve_sweep")
         .build()
         .expect("default configuration is valid");
-    let design =
-        DesignCache::global().generate_cached(&model, &config, matador_par::configured_threads());
+    let design = AcceleratorDesign::generate_with_threads(model, config, threads);
     let clock = design.implement().clock_mhz;
     let accel = design.compile_for_sim();
     let test_inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
@@ -144,12 +141,7 @@ fn run() -> Result<bool, matador::Error> {
         accel.shape().num_packets(),
         opts.seed
     );
-    println!(
-        "(cycle-accurate pooled engines; pool wall-clock = slowest shard; \
-         model cache: {} hit(s), {} miss(es))\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses()
-    );
+    println!("(cycle-accurate pooled engines; pool wall-clock = slowest shard)\n");
 
     let header: Vec<String> = args
         .shards
@@ -170,7 +162,7 @@ fn run() -> Result<bool, matador::Error> {
         kind.to_string(),
         gate_batch,
         opts.seed,
-        matador_par::configured_threads(),
+        threads,
     );
     artifact.push_run_metadata();
     for &batch_size in &args.batches {

@@ -1,9 +1,8 @@
 //! Per-dataset evaluation drivers for both sides of Table I.
 
-use crate::cache::{ModelCache, ModelKey};
 use crate::table::Table1Row;
 use matador::config::MatadorConfig;
-use matador::flow::{FlowOutcome, MatadorFlow};
+use matador::flow::{FlowOutcome, MatadorFlow, TrainSpec};
 use matador_baselines::bnn::{QuantMlp, TrainConfig};
 use matador_baselines::dataflow::DataflowDesign;
 use matador_baselines::presets::BaselineKind;
@@ -82,7 +81,7 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Full-size evaluation (the numbers quoted in `EXPERIMENTS.md`).
+    /// Full-size evaluation: what every harness runs without `--quick`.
     pub fn full() -> Self {
         EvalOptions {
             sizes: SplitSizes::FULL,
@@ -200,13 +199,12 @@ pub fn tm_params_for(kind: DatasetKind) -> TmParams {
         .expect("per-dataset parameters are valid by construction")
 }
 
-/// The model-cache key for `kind` under `opts` — the single definition
-/// every harness binary shares, so they hit each other's cache entries
-/// and can never diverge on what identifies a trained model.
-pub fn model_key_for(kind: DatasetKind, opts: &EvalOptions) -> ModelKey {
-    ModelKey {
-        kind,
-        sizes: opts.sizes,
+/// The training inputs for `kind` under `opts`: [`tm_params_for`],
+/// `opts.tm_epochs` epochs, `opts.seed`. `table1` trains through it, and
+/// the serving harnesses fit it on the same train split, so they serve
+/// the model `table1` reports.
+pub fn train_spec(kind: DatasetKind, opts: &EvalOptions) -> TrainSpec {
+    TrainSpec {
         params: tm_params_for(kind),
         epochs: opts.tm_epochs,
         seed: opts.seed,
@@ -237,10 +235,6 @@ pub fn run_matador(kind: DatasetKind, opts: &EvalOptions) -> Result<MatadorRow, 
 /// across dataset rows and want to split the thread budget rather than
 /// oversubscribe cores. The produced row never depends on `threads`.
 ///
-/// The TM goes through [`ModelCache::global`]: training follows the exact
-/// `MatadorFlow::run` recipe on a miss (so rows are bit-identical with or
-/// without the cache) and is skipped entirely on a hit.
-///
 /// # Errors
 ///
 /// Propagates [`matador::Error`] from the flow.
@@ -250,10 +244,6 @@ pub fn run_matador_with_threads(
     threads: usize,
 ) -> Result<MatadorRow, matador::Error> {
     let data = generate(kind, opts.sizes, opts.seed);
-    if data.train.is_empty() {
-        return Err(matador::flow::FlowError::EmptyTrainingSet.into());
-    }
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
     let config = MatadorConfig::builder()
         .design_name(format!("matador_{}", kind.to_string().to_lowercase()))
         .build()
@@ -261,7 +251,7 @@ pub fn run_matador_with_threads(
     let outcome = MatadorFlow::new(config)
         .verify_limit(Some(64))
         .threads(threads)
-        .run_with_model(model, &data.test)?;
+        .run(train_spec(kind, opts), &data.train, &data.test)?;
     Ok(MatadorRow { kind, outcome })
 }
 
@@ -464,5 +454,12 @@ mod tests {
         assert!(row.outcome.verification.passed());
         assert_eq!(row.outcome.design.num_hcbs(), 6);
         assert_eq!(row.outcome.latency.initial_latency_cycles, 9); // 6 + 3
+
+        // The serving harnesses' training recipe yields the flow's model.
+        let train = generate(DatasetKind::Kws6, opts.sizes, opts.seed).train;
+        assert_eq!(
+            train_spec(DatasetKind::Kws6, &opts).fit(&train, 1),
+            row.outcome.model
+        );
     }
 }

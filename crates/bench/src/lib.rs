@@ -7,20 +7,16 @@
 //! paper's Table I layout.
 //!
 //! Every binary accepts `--quick` (smaller splits/epochs, CI-friendly) and
-//! `--seed <n>`. Trained models are memoized through [`cache::ModelCache`]
-//! and generated designs through [`cache::DesignCache`] (in-process
-//! always; on-disk under `target/matador-cache/` when
-//! `MATADOR_MODEL_CACHE=1`), so harnesses sharing a
-//! `(dataset spec, TmParams, seed)` triple train and generate once.
+//! `--seed <n>`. Each run trains its model and generates its design
+//! directly; every harness trains from [`eval::train_spec`], so at equal
+//! options they serve the model `table1` reports.
 
 pub mod benchjson;
-pub mod cache;
 pub mod eval;
 pub mod metrics_out;
 pub mod table;
 
 pub use benchjson::BenchArtifact;
-pub use cache::{design_digest, DesignCache, ModelCache, ModelKey};
 pub use eval::{
     run_baseline, run_matador, run_matador_with_threads, run_table1, BaselineRow, EvalError,
     EvalOptions, MatadorRow,

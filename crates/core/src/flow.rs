@@ -51,6 +51,17 @@ pub struct TrainSpec {
     pub seed: u64,
 }
 
+impl TrainSpec {
+    /// Trains a fresh machine on `train` — the training step of
+    /// [`MatadorFlow::run`]. The model is bit-identical at every `threads`.
+    pub fn fit(self, train: &[Sample], threads: usize) -> TrainedModel {
+        let mut tm = MultiClassTm::new(self.params);
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        tm.fit_with_threads(train, self.epochs, &mut rng, threads);
+        tm.to_model()
+    }
+}
+
 /// Everything the flow produces for one run.
 #[derive(Debug, Clone)]
 pub struct FlowOutcome {
@@ -370,10 +381,8 @@ impl MatadorFlow {
         if train.is_empty() {
             return Err(FlowError::EmptyTrainingSet.into());
         }
-        let mut tm = MultiClassTm::new(spec.params);
-        let mut rng = SmallRng::seed_from_u64(spec.seed);
-        tm.fit_with_threads(train, spec.epochs, &mut rng, self.effective_threads());
-        self.run_with_model(tm.to_model(), test)
+        let model = spec.fit(train, self.effective_threads());
+        self.run_with_model(model, test)
     }
 
     /// Runs the hardware half of the flow on an existing model — the

@@ -53,9 +53,7 @@
 //! trigger, quota refill and delivery stamp is a pure function of the
 //! submitted trace. That keeps the workspace determinism contract
 //! intact — the same seeded trace replays bit-identically at any
-//! `MATADOR_THREADS` and shard count — while a real-time driver simply
-//! maps wall-clock time onto the virtual clock and parks between events
-//! on [`matador_par::reactor::Parker`]. Timer scheduling rides on
+//! `MATADOR_THREADS` and shard count. Timer scheduling rides on
 //! [`matador_par::reactor::TimerWheel`] with lazy cancellation: stale
 //! timers are re-checked against current state when they expire, never
 //! descheduled.

@@ -23,10 +23,7 @@
 
 use crate::dispatch::{DispatchPolicy, Dispatcher, ShardLoad, ShardProfile};
 use crate::error::ServeError;
-use crate::fault::{
-    FaultPlan, FaultState, SliceAction, SliceFaults, SEEDED_FAULTS_PER_SHARD,
-    SEEDED_HORIZON_REQUESTS,
-};
+use crate::fault::{FaultPlan, FaultState, SliceAction, SliceFaults};
 use crate::health::{HealthTracker, HealthTransition, ShardHealth};
 use crate::queue::{RequestQueue, DEFAULT_QUEUE_DEPTH};
 use crate::report::{ShardStats, ThroughputReport};
@@ -83,15 +80,6 @@ pub struct ServeOptions {
     /// path. Ignored on the heterogeneous path, where each [`ShardSpec`]
     /// picks its own backend.
     pub backend: EngineBackend,
-    /// `Some(seed)` arms seeded chaos injection: the pool is built in
-    /// resilient mode with [`FaultPlan::seeded`]`(seed, shards,`
-    /// [`SEEDED_HORIZON_REQUESTS`]`, `[`SEEDED_FAULTS_PER_SHARD`]`)`
-    /// installed — the options-only way to switch on the fault-tolerant
-    /// serving path. For an explicit schedule (or resilient mode without
-    /// injected faults) use [`ShardPool::with_fault_plan`] instead.
-    /// `None` (the default) keeps the classic fail-fast pool.
-    #[serde(default)]
-    pub fault_seed: Option<u64>,
 }
 
 impl ServeOptions {
@@ -108,7 +96,6 @@ impl ServeOptions {
             threads: None,
             chunk_threshold: None,
             backend: EngineBackend::CycleAccurate,
-            fault_seed: None,
         }
     }
 
@@ -738,7 +725,7 @@ impl<'a> ShardPool<'a> {
                 )
             })
             .collect();
-        let mut pool = ShardPool {
+        Ok(ShardPool {
             designs: vec![accel; options.shards],
             weights: vec![1; options.shards],
             engines,
@@ -759,16 +746,7 @@ impl<'a> ShardPool<'a> {
             faults: FaultState::new(&FaultPlan::none(), options.shards),
             health: HealthTracker::new(options.shards),
             resilient: false,
-        };
-        if let Some(seed) = options.fault_seed {
-            pool.install_fault_plan(FaultPlan::seeded(
-                seed,
-                options.shards,
-                SEEDED_HORIZON_REQUESTS,
-                SEEDED_FAULTS_PER_SHARD,
-            ));
-        }
-        Ok(pool)
+        })
     }
 
     /// Creates a homogeneous pool in **resilient mode** with `plan`
@@ -872,7 +850,7 @@ impl<'a> ShardPool<'a> {
         let mut widths: Vec<usize> = specs.iter().map(ShardSpec::width).collect();
         widths.sort_unstable();
         widths.dedup();
-        let mut pool = ShardPool {
+        Ok(ShardPool {
             designs: specs.iter().map(|s| &s.design).collect(),
             weights: specs.iter().map(|s| s.weight).collect(),
             engines,
@@ -893,16 +871,7 @@ impl<'a> ShardPool<'a> {
             faults: FaultState::new(&FaultPlan::none(), specs.len()),
             health: HealthTracker::new(specs.len()),
             resilient: false,
-        };
-        if let Some(seed) = options.fault_seed {
-            pool.install_fault_plan(FaultPlan::seeded(
-                seed,
-                specs.len(),
-                SEEDED_HORIZON_REQUESTS,
-                SEEDED_FAULTS_PER_SHARD,
-            ));
-        }
-        Ok(pool)
+        })
     }
 
     fn build_engine(
@@ -1257,9 +1226,8 @@ impl<'a> ShardPool<'a> {
     }
 
     /// Whether the pool contains and redirects shard failures
-    /// (constructed via [`ShardPool::with_fault_plan`], armed via
-    /// [`ServeOptions::fault_seed`], or switched by an operator
-    /// [`ShardPool::quarantine_shard`]).
+    /// (constructed via [`ShardPool::with_fault_plan`], or switched by an
+    /// operator [`ShardPool::quarantine_shard`]).
     pub fn resilient(&self) -> bool {
         self.resilient
     }
@@ -2863,15 +2831,6 @@ mod tests {
             assert_eq!(log_a, log_b);
             assert!(!log_a.is_empty(), "a seeded plan injects something");
         });
-    }
-
-    #[test]
-    fn fault_seed_option_arms_the_injector() {
-        let a = accel();
-        let mut options = ServeOptions::new(2);
-        options.fault_seed = Some(11);
-        let pool = ShardPool::with_options(&a, options).expect("valid");
-        assert!(pool.resilient());
     }
 
     /// A partitionable twin of [`accel`]: the same 8-feature, 2-packet

@@ -9,7 +9,8 @@
 //! * programmable-logic dynamic power ∝ clock × switched resources.
 //!
 //! The per-resource coefficients are calibrated so the published rows are
-//! reproduced within a few percent (see `EXPERIMENTS.md`):
+//! reproduced within a few percent (the `*_row_reproduced` tests hold
+//! them to it):
 //! MATADOR-MNIST 1.292 W dyn @50 MHz/8.7k LUT, FINN-MNIST 1.458 W dyn
 //! @100 MHz/11.6k LUT/14.5 BRAM.
 

